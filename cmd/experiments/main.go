@@ -4,6 +4,7 @@
 //	experiments                  # run everything
 //	experiments -run fig9        # one experiment
 //	experiments -run fig10,fig11 # a comma-separated subset
+//	experiments -cpuprofile cpu.pprof  # also write a CPU profile
 package main
 
 import (
@@ -12,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -41,9 +43,26 @@ func run(args []string) error {
 		seed     = fs.Int64("seed", 1, "trace generator seed")
 		metrics  = fs.String("metrics", "", "write the campaign's Prometheus metrics snapshot (run/tick/trip totals) to this file")
 		parallel = fs.Int("parallel", 0, "campaign worker count for the sweep fan-outs (0 = all cores, 1 = serial)")
+		cpuprof  = fs.String("cpuprofile", "", "write a runtime/pprof CPU profile of the whole run to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *cpuprof != "" {
+		f, err := os.Create(*cpuprof)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "experiments: close cpu profile:", err)
+			}
+		}()
 	}
 	if *parallel > 0 {
 		// Bound both the campaign pools that take explicit options and the

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dcsprint/internal/telemetry"
@@ -53,4 +55,61 @@ func TestRunMediumSubset(t *testing.T) {
 	if err := run([]string{"-run", "fig4,reserve,day,burstiness,montecarlo,headroom,pue,adaptive"}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestGoldenOutput is the behaviour oracle for the whole reproduction: seed
+// 1 must print experiments_output.txt byte for byte. Every figure is
+// deterministic, so any diff is a real behaviour change; regenerate the file
+// with `go run ./cmd/experiments > experiments_output.txt` only when the
+// change is intended, and update EXPERIMENTS.md with it.
+func TestGoldenOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full reproduction")
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "experiments_output.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := captureStdout(t, func() error { return run([]string{"-seed", "1"}) })
+	if got == string(want) {
+		return
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			t.Fatalf("output differs from experiments_output.txt at line %d:\n got: %q\nwant: %q", i+1, gl, wl)
+		}
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it wrote.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r) // a read error surfaces as a diff
+		out <- string(b)
+	}()
+	runErr := fn()
+	w.Close()
+	got := <-out
+	r.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return got
 }

@@ -3,7 +3,6 @@ package breaker
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"dcsprint/internal/units"
@@ -35,6 +34,8 @@ type Breaker struct {
 	acc     float64 // thermal accumulator in [0, 1]; trips at 1
 	tripped bool
 	load    units.Watts // last observed load
+
+	memo *Memo // shared trip-curve cache; nil computes every evaluation
 }
 
 // New returns a breaker with the given rating and curve.
@@ -47,6 +48,12 @@ func New(name string, rated units.Watts, curve TripCurve) (*Breaker, error) {
 	}
 	return &Breaker{Name: name, Rated: rated, Curve: curve, Cooldown: DefaultCooldown}, nil
 }
+
+// UseMemo makes the breaker evaluate its trip curve through m, which the
+// owner may share with other breakers stepped on the same goroutine. Nil
+// detaches it. The memo changes no result, only how often the curve is
+// evaluated.
+func (b *Breaker) UseMemo(m *Memo) { b.memo = m }
 
 // Ratio returns the overload ratio of a load against this breaker's rating.
 func (b *Breaker) Ratio(load units.Watts) float64 {
@@ -101,6 +108,12 @@ func (b *Breaker) Step(load units.Watts, dt time.Duration) error {
 		return fmt.Errorf("breaker %s: magnetic trip at ratio %.2f: %w", b.Name, r, ErrTripped)
 	}
 	if r <= 1 {
+		if b.acc == 0 {
+			// Fully cool already: the cooling step below would only clamp a
+			// negative result back to (+)0.
+			b.acc = 0
+			return nil
+		}
 		cd := b.Cooldown
 		if cd <= 0 {
 			cd = DefaultCooldown
@@ -111,8 +124,7 @@ func (b *Breaker) Step(load units.Watts, dt time.Duration) error {
 		}
 		return nil
 	}
-	t, _ := b.Curve.TripTime(r)
-	b.acc += dt.Seconds() / t.Seconds()
+	b.acc += dt.Seconds() / b.memo.tripSeconds(r, b.Curve)
 	if b.acc >= 1 {
 		b.acc = 1
 		b.tripped = true
@@ -147,23 +159,5 @@ func (b *Breaker) MaxLoadFor(d time.Duration) units.Watts {
 	if b.tripped {
 		return 0
 	}
-	headroom := 1 - b.acc
-	if headroom <= 0 {
-		return b.Rated
-	}
-	if d <= 0 {
-		d = time.Nanosecond
-	}
-	// Need (1-acc) * T(r) >= d, i.e. T(r) >= d/(1-acc). Guard against a
-	// near-exhausted accumulator overflowing the duration conversion.
-	effSecs := d.Seconds() / headroom
-	const maxSecs = float64(math.MaxInt64) / float64(time.Second)
-	if effSecs >= maxSecs {
-		return b.Rated
-	}
-	r := b.Curve.OverloadFor(time.Duration(effSecs * float64(time.Second)))
-	if r < 1 {
-		r = 1
-	}
-	return units.Watts(r) * b.Rated
+	return units.Watts(b.memo.ratio(b.acc, d, b.Curve)) * b.Rated
 }

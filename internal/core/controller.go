@@ -141,6 +141,14 @@ type Controller struct {
 	// strategy State must include the remaining-budget estimate.
 	needBudget bool
 
+	// Constants derived once from the configuration and the tree's sizing,
+	// so the tick loop neither copies Tree.Config nor re-derives them.
+	groupSize   units.Watts // servers per PDU group
+	degreePower units.Watts // extra facility power of one sprinting degree
+	coolNormal  units.Watts // cooling power at the normal design load
+	perHeat     float64     // chiller electric watts per watt of heat
+	guardSecs   float64     // cfg.ThermalGuard in seconds
+
 	burstActive bool
 	sprintTime  time.Duration // cumulative over-capacity time this event
 	cooloff     time.Duration // continuous within-capacity time
@@ -187,12 +195,40 @@ type groupPlan struct {
 	delivered float64
 }
 
-// scratch holds the per-tick planning buffers. plan rewrites every entry it
-// uses on each call, so one set of buffers serves the whole run and the
-// steady-state tick loop performs no heap allocations. Nothing here is
-// controller state: snapshots ignore it and a restored controller simply
-// reallocates it.
+// groupInputs is one PDU group's share of a tick's plan inputs that do not
+// depend on the core cap.
+type groupInputs struct {
+	demand float64     // the group's normalized demand
+	cores  int         // cores that serve it, before the cap
+	bound  units.Watts // the PDU breaker's reserve-safe load
+	upsMax units.Watts // the group battery's deliverable power
+}
+
+// tickInputs are a tick's plan inputs that do not depend on the core cap.
+// TickInput derives them once (prepare); every plan probe of the cap search
+// then only redoes the work that depends on the cap.
+type tickInputs struct {
+	in         Input
+	dt         time.Duration
+	dtSecs     float64
+	genAvail   units.Watts   // generator output available this tick (0 without one)
+	dcAllow    units.Watts   // DC breaker reserve-safe load, capped by supply
+	chillerCap units.Watts   // (possibly degraded) chiller heat capacity
+	planTemp   units.Celsius // room temperature the thermal guard plans on
+	tesUsable  bool          // a tank is installed and not (believed) empty
+	tesMax     units.Watts   // tank absorption limit this tick
+	tesChiller units.Watts   // chiller power while the tank carries cooling
+}
+
+// scratch holds the per-tick planning buffers. prepare and plan rewrite
+// every entry they use on each call, so one set of buffers serves the whole
+// run and the steady-state tick loop performs no heap allocations. Nothing
+// here is controller state: snapshots ignore it and a restored controller
+// simply reallocates it.
 type scratch struct {
+	tick        tickInputs
+	inputs      []groupInputs
+	plan        plan
 	groups      []groupPlan
 	wants       []units.Watts
 	flowServer  []units.Watts
@@ -214,6 +250,7 @@ func groupHeat(groups []groupPlan, groupSize units.Watts) units.Watts {
 
 func newScratch(nPDU int) scratch {
 	return scratch{
+		inputs:      make([]groupInputs, nPDU),
 		groups:      make([]groupPlan, nPDU),
 		wants:       make([]units.Watts, nPDU),
 		flowServer:  make([]units.Watts, nPDU),
@@ -269,10 +306,16 @@ func New(cfg Config, tree *power.Tree, room *cooling.Room, tank *tes.Tank) (*Con
 	if err != nil {
 		return nil, err
 	}
+	treeCfg := tree.Config()
 	return &Controller{
 		cfg:           cfg,
 		srv:           server.NewModel(cfg.Server),
 		needBudget:    ReadsBudget(cfg.Strategy),
+		groupSize:     units.Watts(treeCfg.ServersPerPDU),
+		degreePower:   cfg.Server.CorePower * units.Watts(cfg.Server.NormalCores*treeCfg.Servers),
+		coolNormal:    cfg.Cooling.NormalCoolingPower(),
+		perHeat:       float64(cfg.Cooling.NormalCoolingPower()) / float64(cfg.Cooling.ChillerHeatCapacity()),
+		guardSecs:     cfg.ThermalGuard.Seconds(),
 		tree:          tree,
 		room:          room,
 		tank:          tank,
@@ -367,18 +410,12 @@ func (c *Controller) state(demand float64) State {
 		AvgDegree:   avg,
 		MaxDegree:   c.cfg.Server.MaxDegree(),
 		BudgetTotal: c.budgetTotal,
-		DegreePower: c.degreePower(),
+		DegreePower: c.degreePower,
 	}
 	if c.needBudget {
 		st.BudgetLeft = EstimateBudget(c.tree, c.tank, c.cfg.Cooling, c.cfg.Reserve)
 	}
 	return st
-}
-
-// degreePower is the extra facility power of one unit of sprinting degree.
-func (c *Controller) degreePower() units.Watts {
-	s := c.cfg.Server
-	return s.CorePower * units.Watts(s.NormalCores*c.tree.Config().Servers)
 }
 
 // Tick advances the controller by dt under the given normalized demand with
@@ -484,13 +521,16 @@ func (c *Controller) TickInput(in Input, dt time.Duration) TickResult {
 	// guard, which needs a global reduction. The normal-core plan is
 	// within every rating by construction, so the forced fallback only
 	// triggers when a breaker has been stressed by an external event.
-	p, ok := c.plan(capCores, in, dt, false)
+	c.prepare(in, dt)
+	p := &c.buf.plan
+	ok := c.plan(p, capCores, false)
 	if !ok {
 		lo, hi := c.cfg.Server.NormalCores, capCores-1
 		best := -1
+		last := false // whether the latest probe succeeded
 		for lo <= hi {
 			mid := (lo + hi) / 2
-			if _, okc := c.plan(mid, in, dt, false); okc {
+			if last = c.plan(p, mid, false); last {
 				best = mid
 				lo = mid + 1
 			} else {
@@ -500,99 +540,134 @@ func (c *Controller) TickInput(in Input, dt time.Duration) TickResult {
 		if best >= 0 {
 			// plan reads component state without mutating it, so re-planning
 			// at the best cap reproduces the candidate the search found; the
-			// probes above can then all share one set of scratch buffers
-			// instead of each retaining a copy of the winning plan.
-			p, ok = c.plan(best, in, dt, false)
+			// probes can then all share one set of scratch buffers instead
+			// of each retaining a copy of the winning plan. When the final
+			// probe was the winner, p already holds it.
+			ok = last || c.plan(p, best, false)
 		}
 	}
 	if !ok {
-		p, _ = c.plan(c.cfg.Server.NormalCores, in, dt, true)
+		c.plan(p, c.cfg.Server.NormalCores, true)
 	}
-	res := c.commit(p, in, dt)
+	var res TickResult
+	c.commit(p, &res)
 	res.Bound = bound
 	return res
 }
 
-// plan builds a tick plan with every group's core count capped at capCores.
-// When force is false the plan is rejected (ok = false) if any constraint
-// cannot be met; when force is true the plan clamps to whatever the stores
-// can deliver and lets the breakers carry the remainder.
-func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) (plan, bool) {
+// prepare derives the tick's cap-independent plan inputs into c.buf: the
+// per-group demand and wanted cores, every breaker's reserve-safe load, the
+// batteries' and tank's deliverable power, and the chiller cap. It reads
+// component state (through the sensor view when one is attached) without
+// mutating it.
+func (c *Controller) prepare(in Input, dt time.Duration) {
 	srv := c.srv
-	groupSize := units.Watts(c.tree.Config().ServersPerPDU)
-	nPDU := len(c.tree.PDUs)
+	t := &c.buf.tick
+	t.in, t.dt, t.dtSecs = in, dt, dt.Seconds()
+	t.chillerCap = c.chillerCap()
+	t.planTemp = c.room.Temperature()
+	if c.sensors != nil {
+		t.planTemp = c.view.roomTemp
+	}
+	t.genAvail = 0
+	if c.gen != nil {
+		t.genAvail = c.gen.Available(dt)
+	}
+	t.dcAllow = c.tree.DCBreaker.MaxLoadFor(c.cfg.Reserve)
+	if supply := in.SupplyLimit + t.genAvail; in.SupplyLimit > 0 && supply < t.dcAllow {
+		t.dcAllow = supply
+	}
+	// With sensors attached the planner believes the (supervised) sensed
+	// tank level, not the model's internals.
+	t.tesUsable, t.tesMax, t.tesChiller = false, 0, 0
+	if c.tank != nil {
+		if c.sensors != nil {
+			t.tesUsable = !(c.view.tesLevel <= 0)
+			t.tesMax = c.tank.MaxAbsorbAtSoC(c.view.tesLevel, dt)
+		} else {
+			t.tesUsable = !c.tank.Empty()
+			t.tesMax = c.tank.MaxAbsorb(dt)
+		}
+		t.tesChiller = c.tank.ChillerPowerWhileDischarging(c.coolNormal)
+	}
+	for g, pdu := range c.tree.PDUs {
+		gi := &c.buf.inputs[g]
+		gi.demand = in.Demand * c.weights[g]
+		if g > 0 && gi.demand == c.buf.inputs[g-1].demand {
+			gi.cores = c.buf.inputs[g-1].cores
+		} else {
+			gi.cores = srv.CoresForThroughput(gi.demand)
+			if gi.cores < srv.NormalCores {
+				gi.cores = srv.NormalCores
+			}
+		}
+		gi.bound = pdu.Breaker.MaxLoadFor(c.cfg.Reserve)
+		if c.sensors != nil {
+			gi.upsMax = pdu.UPS.MaxOutputAtSoC(c.view.soc[g], dt)
+		} else {
+			gi.upsMax = pdu.UPS.MaxOutput(dt)
+		}
+	}
+}
 
-	// Per-group demand and desired operating point.
+// plan builds a tick plan into p with every group's core count capped at
+// capCores, from the inputs prepare derived. When force is false the plan is
+// rejected (false) if any constraint cannot be met; when force is true the
+// plan clamps to whatever the stores can deliver and lets the breakers carry
+// the remainder. A rejected plan leaves p unspecified.
+func (c *Controller) plan(p *plan, capCores int, force bool) bool {
+	srv := c.srv
+	t := &c.buf.tick
+	groupSize := c.groupSize
+	nPDU := len(c.tree.PDUs)
+	inputs := c.buf.inputs
+
+	// Per-group desired operating point. Groups with the same demand (the
+	// uniform-weight default) share one evaluation.
 	groups := c.buf.groups
 	sprinting := false
 	for g := range groups {
-		d := in.Demand * c.weights[g]
-		cores := srv.CoresForThroughput(d)
-		if cores < srv.NormalCores {
-			cores = srv.NormalCores
+		gi := &inputs[g]
+		if g > 0 && gi.demand == inputs[g-1].demand {
+			groups[g] = groups[g-1]
+			continue
 		}
+		cores := gi.cores
 		if cores > capCores {
 			cores = capCores
 		}
-		perServer, delivered := srv.PowerAtDemand(cores, d)
-		groups[g] = groupPlan{demand: d, cores: cores, perServer: perServer, delivered: delivered}
+		perServer, delivered := srv.PowerAtDemand(cores, gi.demand)
+		groups[g] = groupPlan{demand: gi.demand, cores: cores, perServer: perServer, delivered: delivered}
 		if cores > srv.NormalCores {
 			sprinting = true
 		}
 	}
 
-	coolNormal := c.cfg.Cooling.NormalCoolingPower()
+	coolNormal := c.coolNormal
 	gen := groupHeat(groups, groupSize)
 
 	// A supply emergency: the curtailed grid plus the generator cannot
 	// carry the facility. The TES then rides the emergency regardless of
 	// sprinting, shedding 2/3 of the chiller power.
-	supplyShort := false
-	if in.SupplyLimit > 0 {
-		avail := in.SupplyLimit
-		if c.gen != nil {
-			avail += c.gen.Available(dt)
-		}
-		if avail < gen+coolNormal {
-			supplyShort = true
-		}
-	}
+	supplyShort := t.in.SupplyLimit > 0 && t.in.SupplyLimit+t.genAvail < gen+coolNormal
 
 	// Phase 3 decision: the TES engages once the sprint has run long
 	// enough that the room would otherwise approach the CFD budget — or
 	// immediately in a supply emergency — and stays engaged until the
-	// tank is spent or the need passes. With sensors attached the planner
-	// believes the (supervised) sensed level, not the model's internals.
-	tesEmpty := c.tank == nil || c.tank.Empty()
-	if c.sensors != nil && c.tank != nil {
-		tesEmpty = c.view.tesLevel <= 0
-	}
-	tesOn := sprinting && c.tesActive
-	if sprinting && !tesOn && c.tank != nil && !tesEmpty && c.sprintTime >= c.tesDelay {
-		tesOn = true
-	}
-	if !tesOn && supplyShort && c.tank != nil && !tesEmpty {
-		tesOn = true
-	}
-	if c.tank == nil || tesEmpty {
-		tesOn = false
-	}
+	// tank is spent or the need passes.
+	tesOn := t.tesUsable && (sprinting && (c.tesActive || c.sprintTime >= c.tesDelay) || supplyShort)
 	var chillerElec, chillerAbsorb, tesAbsorb units.Watts
 	if tesOn {
 		tesAbsorb = gen
-		max := c.tank.MaxAbsorb(dt)
-		if c.sensors != nil {
-			max = c.tank.MaxAbsorbAtSoC(c.view.tesLevel, dt)
+		if tesAbsorb > t.tesMax {
+			tesAbsorb = t.tesMax
 		}
-		if tesAbsorb > max {
-			tesAbsorb = max
-		}
-		chillerElec = c.tank.ChillerPowerWhileDischarging(coolNormal)
+		chillerElec = t.tesChiller
 	} else {
 		chillerElec = coolNormal
 		chillerAbsorb = gen
-		if cap := c.chillerCap(); chillerAbsorb > cap {
-			chillerAbsorb = cap
+		if chillerAbsorb > t.chillerCap {
+			chillerAbsorb = t.chillerCap
 		}
 	}
 	heatAbsorbed := chillerAbsorb + tesAbsorb
@@ -601,16 +676,13 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 	// room within the guard window. The guard is evaluated against the
 	// supervised planning temperature when sensors are attached, so a
 	// lying room sensor cannot relax it.
-	planTemp := c.room.Temperature()
-	if c.sensors != nil {
-		planTemp = c.view.roomTemp
-	}
+	planTemp := t.planTemp
 	thermalShed := false
 	if gap := gen - heatAbsorbed; gap > 0 && !force {
-		if t, finite := c.cfg.Cooling.TimeToThresholdFrom(planTemp, gap); finite && t < c.cfg.ThermalGuard {
+		if tt, finite := c.cfg.Cooling.TimeToThresholdFrom(planTemp, gap); finite && tt < c.cfg.ThermalGuard {
 			if sprinting {
 				// Let the core-cap descent shrink the gap first.
-				return plan{}, false
+				return false
 			}
 			// Even the normal operating point out-heats the (degraded)
 			// plant. Shed load so the residual gap keeps the room below
@@ -621,7 +693,7 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 			if margin < 0 {
 				margin = 0
 			}
-			allowed := units.Watts(margin * c.cfg.Cooling.ThermalCapacity / c.cfg.ThermalGuard.Seconds())
+			allowed := units.Watts(margin * c.cfg.Cooling.ThermalCapacity / c.guardSecs)
 			if budget := heatAbsorbed + allowed; budget < gen {
 				scale := float64(budget) / float64(gen)
 				for g := range groups {
@@ -641,8 +713,8 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 					}
 				} else {
 					chillerAbsorb = gen
-					if cap := c.chillerCap(); chillerAbsorb > cap {
-						chillerAbsorb = cap
+					if chillerAbsorb > t.chillerCap {
+						chillerAbsorb = t.chillerCap
 					}
 				}
 				heatAbsorbed = chillerAbsorb + tesAbsorb
@@ -654,25 +726,14 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 	// breaker-drawn server power; water-fill it across the groups'
 	// breaker-share wants (§V-B parent/child coordination — overloading
 	// child breakers never exceeds the parent's managed bound).
-	dcAllow := c.tree.DCBreaker.MaxLoadFor(c.cfg.Reserve)
-	if in.SupplyLimit > 0 {
-		supply := in.SupplyLimit
-		if c.gen != nil {
-			supply += c.gen.Available(dt)
-		}
-		if supply < dcAllow {
-			dcAllow = supply
-		}
-	}
-	serverBudget := dcAllow - chillerElec
+	serverBudget := t.dcAllow - chillerElec
 	if serverBudget < 0 {
 		serverBudget = 0
 	}
 	wants := c.buf.wants
-	for g, pdu := range c.tree.PDUs {
+	for g := range groups {
 		need := groups[g].perServer * groupSize
-		bound := pdu.Breaker.MaxLoadFor(c.cfg.Reserve)
-		if need < bound {
+		if bound := inputs[g].bound; need < bound {
 			wants[g] = need
 		} else {
 			wants[g] = bound
@@ -687,12 +748,9 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 		PDUUPS:    c.buf.flowUPS,
 		Cooling:   chillerElec,
 	}
-	for g, pdu := range c.tree.PDUs {
+	for g := range groups {
 		gp := &groups[g]
-		upsMax := pdu.UPS.MaxOutput(dt)
-		if c.sensors != nil {
-			upsMax = pdu.UPS.MaxOutputAtSoC(c.view.soc[g], dt)
-		}
+		upsMax := inputs[g].upsMax
 		afford := cbAlloc[g] + upsMax
 		need := gp.perServer * groupSize
 		for need > afford+1e-9 && gp.cores > srv.NormalCores {
@@ -715,7 +773,7 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 		if need > afford+1e-9 && !force {
 			// Not even an idle server fits the budget: a blackout no
 			// shedding can avoid.
-			return plan{}, false
+			return false
 		}
 		ups := need - cbAlloc[g]
 		if ups < 0 {
@@ -729,7 +787,7 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 	}
 
 	// Assemble the result from the (possibly reduced) groups.
-	p := plan{
+	*p = plan{
 		flow:          flow,
 		chillerElec:   chillerElec,
 		chillerAbsorb: chillerAbsorb,
@@ -761,8 +819,8 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 		p.heatAbsorbed = p.tesAbsorb
 	} else {
 		chillerAbsorb = p.heatGen
-		if cap := c.chillerCap(); chillerAbsorb > cap {
-			chillerAbsorb = cap
+		if chillerAbsorb > t.chillerCap {
+			chillerAbsorb = t.chillerCap
 		}
 		p.chillerAbsorb = chillerAbsorb
 		p.heatAbsorbed = chillerAbsorb
@@ -770,18 +828,19 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 
 	// Idle headroom recharges the stores (the paper: "the used battery
 	// capacity can be recharged later when the power demand is low").
-	if !p.sprinting && in.Demand <= 0.98 {
-		c.planRecharge(&p, dcAllow, dt)
+	if !p.sprinting && t.in.Demand <= 0.98 {
+		c.planRecharge(p)
 	}
-	return p, true
+	return true
 }
 
 // planRecharge adds UPS and TES recharge within the breaker ratings and the
 // available supply.
-func (c *Controller) planRecharge(p *plan, dcAllow units.Watts, dt time.Duration) {
+func (c *Controller) planRecharge(p *plan) {
+	t := &c.buf.tick
 	limit := c.tree.DCBreaker.Rated
-	if dcAllow < limit {
-		limit = dcAllow
+	if t.dcAllow < limit {
+		limit = t.dcAllow
 	}
 	dcSpare := limit - p.flow.DCLoad()
 	if dcSpare <= 0 {
@@ -803,7 +862,7 @@ func (c *Controller) planRecharge(p *plan, dcAllow units.Watts, dt time.Duration
 			spare = dcSpare
 		}
 		room := pdu.UPS.TotalEnergy() - pdu.UPS.Stored()
-		if need := room.Over(dt); spare > need {
+		if need := units.Watts(float64(room) / t.dtSecs); spare > need {
 			spare = need
 		}
 		p.upsRecharge[i] = spare
@@ -812,31 +871,32 @@ func (c *Controller) planRecharge(p *plan, dcAllow units.Watts, dt time.Duration
 	if c.tank != nil && dcSpare > 0 && c.tank.SoC() < 1 {
 		// Re-cooling the tank costs chiller power proportional to the
 		// plant's heat-to-electric ratio.
-		perHeat := float64(c.cfg.Cooling.NormalCoolingPower()) / float64(c.cfg.Cooling.ChillerHeatCapacity())
-		if perHeat > 0 {
-			p.tesRecharge = units.Watts(float64(dcSpare) / perHeat)
+		if c.perHeat > 0 {
+			p.tesRecharge = units.Watts(float64(dcSpare) / c.perHeat)
 		}
 	}
 }
 
-// commit executes a plan: steps the breakers, batteries, tank and room, and
-// accumulates burst bookkeeping and the energy split.
-func (c *Controller) commit(p plan, in Input, dt time.Duration) TickResult {
+// commit executes the plan prepared for this tick: steps the breakers,
+// batteries, tank and room, accumulates burst bookkeeping and the energy
+// split, and reports the tick into res.
+func (c *Controller) commit(p *plan, res *TickResult) {
+	in, dt, dtSecs := c.buf.tick.in, c.buf.tick.dt, c.buf.tick.dtSecs
 	demand := in.Demand
 	flow := p.flow
 
 	// Apply recharge loads before stepping the breakers.
 	coolingPower := p.chillerElec
 	if p.tesRecharge > 0 && c.tank != nil {
-		perHeat := float64(c.cfg.Cooling.NormalCoolingPower()) / float64(c.cfg.Cooling.ChillerHeatCapacity())
 		accepted := c.tank.Recharge(p.tesRecharge, dt)
-		coolingPower += units.Watts(float64(accepted) * perHeat)
+		coolingPower += units.Watts(float64(accepted) * c.perHeat)
 	}
 	flow.Cooling = coolingPower
 	for i := range p.upsRecharge {
 		accepted := c.tree.PDUs[i].UPS.Recharge(p.upsRecharge[i], dt)
 		flow.PDUServer[i] += accepted // recharge draw rides the PDU feed
 	}
+	dcLoad := flow.DCLoad()
 
 	// The generator carries the share of the load the curtailed grid
 	// cannot; Step also advances its crank/ramp clock.
@@ -844,7 +904,7 @@ func (c *Controller) commit(p plan, in Input, dt time.Duration) TickResult {
 	if c.gen != nil {
 		var want units.Watts
 		if in.SupplyLimit > 0 {
-			if short := flow.DCLoad() - in.SupplyLimit; short > 0 {
+			if short := dcLoad - in.SupplyLimit; short > 0 {
 				want = short
 			}
 		}
@@ -875,7 +935,7 @@ func (c *Controller) commit(p plan, in Input, dt time.Duration) TickResult {
 	// Advance the heat-balance dead reckoning with the same numbers the
 	// room integrated; the thermal guard plans on max(estimate, trusted
 	// sensed value), so a lying sensor can only tighten it.
-	c.tempEst += units.Celsius(float64(p.heatGen-actualAbsorbed) * dt.Seconds() / c.cfg.Cooling.ThermalCapacity)
+	c.tempEst += units.Celsius(float64(p.heatGen-actualAbsorbed) * dtSecs / c.cfg.Cooling.ThermalCapacity)
 	if c.tempEst < c.cfg.Cooling.Ambient {
 		c.tempEst = c.cfg.Cooling.Ambient
 	}
@@ -883,9 +943,8 @@ func (c *Controller) commit(p plan, in Input, dt time.Duration) TickResult {
 		// Track the hottest chip: the largest per-server chip power of
 		// the tick (server power minus the constant non-CPU share).
 		var hottest units.Watts
-		group := units.Watts(c.tree.Config().ServersPerPDU)
 		for i := range flow.PDUServer {
-			perServer := flow.PDUServer[i] / group
+			perServer := flow.PDUServer[i] / c.groupSize
 			if chipPower := perServer - c.cfg.Server.NonCPUPower; chipPower > hottest {
 				hottest = chipPower
 			}
@@ -896,9 +955,9 @@ func (c *Controller) commit(p plan, in Input, dt time.Duration) TickResult {
 
 	// Physical supply enforcement: a forced plan that draws more than the
 	// grid and generator can deliver browns the facility out.
-	if err == nil && in.SupplyLimit > 0 && flow.DCLoad() > in.SupplyLimit+genUsed+1 {
+	if err == nil && in.SupplyLimit > 0 && dcLoad > in.SupplyLimit+genUsed+1 {
 		err = fmt.Errorf("core: brownout: load %v exceeds supply %v + generator %v",
-			flow.DCLoad(), in.SupplyLimit, genUsed)
+			dcLoad, in.SupplyLimit, genUsed)
 	}
 
 	// Energy-split accounting.
@@ -910,17 +969,17 @@ func (c *Controller) commit(p plan, in Input, dt time.Duration) TickResult {
 			maxPDULoad = load
 		}
 		if over := load - c.tree.PDUs[i].Breaker.Rated; over > 0 {
-			c.split.CBOverload += units.ForDuration(over, dt)
+			c.split.CBOverload += units.Joules(float64(over) * dtSecs)
 		}
 	}
-	if over := flow.DCLoad() - c.tree.DCBreaker.Rated; over > 0 {
-		c.split.CBOverload += units.ForDuration(over, dt)
+	if over := dcLoad - c.tree.DCBreaker.Rated; over > 0 {
+		c.split.CBOverload += units.Joules(float64(over) * dtSecs)
 	}
-	c.split.UPS += units.ForDuration(upsTotal, dt)
+	c.split.UPS += units.Joules(float64(upsTotal) * dtSecs)
 	if p.tesOn {
-		saved := c.cfg.Cooling.NormalCoolingPower() - p.chillerElec
+		saved := c.coolNormal - p.chillerElec
 		if saved > 0 {
-			c.split.TES += units.ForDuration(saved, dt)
+			c.split.TES += units.Joules(float64(saved) * dtSecs)
 		}
 	}
 
@@ -942,7 +1001,7 @@ func (c *Controller) commit(p plan, in Input, dt time.Duration) TickResult {
 		phase = 1
 	}
 
-	res := TickResult{
+	*res = TickResult{
 		Demand:       demand,
 		Delivered:    p.delivered,
 		ActiveCores:  p.maxCores,
@@ -950,7 +1009,7 @@ func (c *Controller) commit(p plan, in Input, dt time.Duration) TickResult {
 		Phase:        phase,
 		ITPower:      p.heatGen,
 		CoolingPower: coolingPower,
-		DCLoad:       flow.DCLoad(),
+		DCLoad:       dcLoad,
 		PDULoad:      maxPDULoad,
 		UPSPower:     upsTotal,
 		GenPower:     genUsed,
@@ -1010,13 +1069,12 @@ func (c *Controller) commit(p plan, in Input, dt time.Duration) TickResult {
 		switch {
 		case err == nil:
 			c.emit(EventOverheated, fmt.Sprintf("room at %v", c.room.Temperature()))
-		case in.SupplyLimit > 0 && flow.DCLoad() > in.SupplyLimit+genUsed:
+		case in.SupplyLimit > 0 && dcLoad > in.SupplyLimit+genUsed:
 			c.emit(EventBrownout, err.Error())
 		default:
 			c.emit(EventBreakerTripped, err.Error())
 		}
 	}
-	return res
 }
 
 // tickUncontrolled implements the Fig 8(a) baseline: chip-level sprinting
@@ -1025,8 +1083,8 @@ func (c *Controller) commit(p plan, in Input, dt time.Duration) TickResult {
 // shuts the facility down.
 func (c *Controller) tickUncontrolled(demand float64, dt time.Duration) TickResult {
 	srv := c.srv
-	groupSize := units.Watts(c.tree.Config().ServersPerPDU)
-	coolNormal := c.cfg.Cooling.NormalCoolingPower()
+	groupSize := c.groupSize
+	coolNormal := c.coolNormal
 
 	nPDU := len(c.tree.PDUs)
 	flow := power.Flow{

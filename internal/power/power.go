@@ -86,6 +86,12 @@ type Tree struct {
 	PDUs []*PDU
 
 	cfg Config
+
+	// Caches shared by every breaker and group battery of this tree (they
+	// are only ever stepped together, on one goroutine). Neither is state:
+	// see breaker.Memo and ups.Memo.
+	trips   breaker.Memo
+	outputs ups.Memo
 }
 
 // New builds the tree: one breaker per PDU, one aggregated UPS per PDU
@@ -103,6 +109,7 @@ func New(cfg Config) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{DCBreaker: dcb, PDUs: make([]*PDU, 0, nPDU), cfg: cfg}
+	dcb.UseMemo(&t.trips)
 	for i := 0; i < nPDU; i++ {
 		b, err := breaker.New(fmt.Sprintf("pdu-%d", i), pduRated, cfg.Curve)
 		if err != nil {
@@ -112,6 +119,8 @@ func New(cfg Config) (*Tree, error) {
 		if err != nil {
 			return nil, err
 		}
+		b.UseMemo(&t.trips)
+		batt.UseMemo(&t.outputs)
 		t.PDUs = append(t.PDUs, &PDU{Breaker: b, UPS: batt, Servers: cfg.ServersPerPDU})
 	}
 	return t, nil
@@ -165,6 +174,7 @@ func (t *Tree) Step(f Flow, dt time.Duration) error {
 		return fmt.Errorf("power: flow width %d/%d, want %d", len(f.PDUServer), len(f.PDUUPS), len(t.PDUs))
 	}
 	var firstErr error
+	var pduLoads units.Watts // f.DCLoad() less cooling, summed in its order
 	for i, p := range t.PDUs {
 		delivered := p.UPS.Discharge(f.PDUUPS[i], dt)
 		// Any shortfall the battery could not deliver falls back on the
@@ -173,12 +183,13 @@ func (t *Tree) Step(f Flow, dt time.Duration) error {
 		if shortfall < 0 {
 			shortfall = 0
 		}
-		load := f.PDULoad(i) + shortfall
-		if err := p.Breaker.Step(load, dt); err != nil && firstErr == nil {
+		planned := f.PDULoad(i)
+		pduLoads += planned
+		if err := p.Breaker.Step(planned+shortfall, dt); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	if err := t.DCBreaker.Step(f.DCLoad(), dt); err != nil && firstErr == nil {
+	if err := t.DCBreaker.Step(pduLoads+f.Cooling, dt); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr

@@ -330,3 +330,82 @@ func FuzzRestore(f *testing.F) {
 		}
 	})
 }
+
+// TestRestoreMidSprintLockstep pins the "cache, not state" rule of the
+// engine's memos (breaker.Memo, ups.Memo, the controller's per-tick
+// scratch): an engine restored from a snapshot taken inside each sprinting
+// phase starts with cold caches, yet steps in lockstep with the engine that
+// was never interrupted — every TickDecision, every later snapshot and the
+// final Result are DeepEqual. Skewed weights cover groups the planner
+// cannot share work between.
+func TestRestoreMidSprintLockstep(t *testing.T) {
+	tr := mustTrace(workload.SyntheticYahoo(7, 3.2, 15*time.Minute))
+	for name, weights := range map[string][]float64{
+		"uniform": nil,
+		"skewed":  {1.3, 1.2, 1.1, 1.05, 1, 1, 0.95, 0.9, 0.8, 0.7},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sc := Scenario{Name: name, Trace: tr, Weights: weights}
+			ref, err := New(sc)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			restored := map[int]*Engine{} // by the phase the snapshot was taken in
+			for i, demand := range tr.Samples {
+				if n := len(ref.phase); n > 0 {
+					if ph := ref.phase[n-1]; ph > 0 && restored[ph] == nil {
+						snap, err := ref.Snapshot()
+						if err != nil {
+							t.Fatalf("Snapshot at tick %d: %v", i, err)
+						}
+						if restored[ph], err = Restore(sc, snap); err != nil {
+							t.Fatalf("Restore at tick %d: %v", i, err)
+						}
+					}
+				}
+				want, err := ref.Step(demand)
+				if err != nil {
+					t.Fatalf("Step %d: %v", i, err)
+				}
+				for ph, eng := range restored {
+					got, err := eng.Step(demand)
+					if err != nil {
+						t.Fatalf("phase-%d engine Step %d: %v", ph, i, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("phase-%d engine diverged at tick %d:\n got %+v\nwant %+v", ph, i, got, want)
+					}
+				}
+			}
+			for _, ph := range []int{1, 2, 3} {
+				if restored[ph] == nil {
+					t.Fatalf("the trace never reached phase %d", ph)
+				}
+			}
+			wantSnap, err := ref.Snapshot()
+			if err != nil {
+				t.Fatalf("Snapshot: %v", err)
+			}
+			want, err := ref.Finish()
+			if err != nil {
+				t.Fatalf("Finish: %v", err)
+			}
+			for ph, eng := range restored {
+				snap, err := eng.Snapshot()
+				if err != nil {
+					t.Fatalf("Snapshot: %v", err)
+				}
+				if !bytes.Equal(snap, wantSnap) {
+					t.Errorf("phase-%d engine's final snapshot differs from the uninterrupted engine's", ph)
+				}
+				got, err := eng.Finish()
+				if err != nil {
+					t.Fatalf("Finish: %v", err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("phase-%d engine's Result differs from the uninterrupted engine's", ph)
+				}
+			}
+		})
+	}
+}

@@ -8,6 +8,7 @@ package units
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -36,6 +37,11 @@ type AmpHours float64
 func (ah AmpHours) Energy(voltage float64) Joules {
 	return Joules(float64(ah) * voltage * 3600)
 }
+
+// BitDiff is zero exactly when a and b are bit-identical (so -0 and +0
+// differ, and a NaN matches itself). OR-ing BitDiffs tests a whole cache
+// key with one branch.
+func BitDiff(a, b float64) uint64 { return math.Float64bits(a) ^ math.Float64bits(b) }
 
 // ForDuration returns the energy delivered by holding power w for d.
 func ForDuration(w Watts, d time.Duration) Joules {

@@ -56,6 +56,26 @@ func TestForDurationAndOver(t *testing.T) {
 	}
 }
 
+func TestBitDiff(t *testing.T) {
+	nan := math.NaN()
+	negZero := math.Copysign(0, -1)
+	tests := []struct {
+		a, b float64
+		same bool
+	}{
+		{1.5, 1.5, true},
+		{1.5, math.Nextafter(1.5, 2), false},
+		{0, negZero, false},
+		{nan, nan, true},
+		{math.Inf(1), math.Inf(-1), false},
+	}
+	for _, tc := range tests {
+		if got := BitDiff(tc.a, tc.b) == 0; got != tc.same {
+			t.Errorf("BitDiff(%v, %v) == 0 is %v, want %v", tc.a, tc.b, got, tc.same)
+		}
+	}
+}
+
 func TestJoulesWattHours(t *testing.T) {
 	if got := Joules(7200).WattHours(); got != 2 {
 		t.Fatalf("7200 J = %v Wh, want 2", got)

@@ -88,6 +88,8 @@ type Battery struct {
 	stored     units.Joules // current stored energy
 	discharged units.Joules // lifetime total drained, for cycle accounting
 	failed     bool         // a failed string delivers and accepts nothing
+
+	memo *Memo // shared output-limit cache; nil computes every evaluation
 }
 
 // New returns a fully charged battery.
@@ -106,6 +108,12 @@ func NewGroup(n int, cfg BatteryConfig) (*Battery, error) {
 	}
 	return New(cfg.scale(n))
 }
+
+// UseMemo makes the battery evaluate its output limits through m, which the
+// owner may share with other batteries stepped on the same goroutine. Nil
+// detaches it. The memo changes no result, only how often the limits are
+// evaluated.
+func (b *Battery) UseMemo(m *Memo) { b.memo = m }
 
 // TotalEnergy returns the nameplate energy.
 func (b *Battery) TotalEnergy() units.Joules {
@@ -137,11 +145,7 @@ func (b *Battery) MaxOutput(dt time.Duration) units.Watts {
 	if dt <= 0 {
 		return 0
 	}
-	p := b.Available().Over(dt)
-	if b.cfg.MaxDischarge > 0 && p > b.cfg.MaxDischarge {
-		p = b.cfg.MaxDischarge
-	}
-	return p
+	return b.memo.output(b, false, float64(b.stored), dt)
 }
 
 // Discharge drains the battery to deliver the requested power for dt and
@@ -223,13 +227,26 @@ func (b *Battery) MaxOutputAtSoC(soc float64, dt time.Duration) units.Watts {
 	if dt <= 0 {
 		return 0
 	}
-	soc = units.Clamp(soc, 0, 1)
-	total := b.TotalEnergy()
-	avail := units.Joules(soc)*total - units.Joules(b.cfg.MinSoC)*total
-	if avail < 0 {
-		avail = 0
+	return b.memo.output(b, true, soc, dt)
+}
+
+// maxOutput evaluates MaxOutput (atSoC false; level is then the stored
+// energy, which Available reads itself) or MaxOutputAtSoC (atSoC true, level
+// the sensed SoC) for a positive dt.
+func (b *Battery) maxOutput(atSoC bool, level float64, dt time.Duration) units.Watts {
+	var avail units.Joules
+	if atSoC {
+		soc := units.Clamp(level, 0, 1)
+		total := b.TotalEnergy()
+		avail = units.Joules(soc)*total - units.Joules(b.cfg.MinSoC)*total
+		if avail < 0 {
+			avail = 0
+		}
+		avail = units.Joules(float64(avail) * b.efficiency())
+	} else {
+		avail = b.Available()
 	}
-	p := units.Joules(float64(avail) * b.efficiency()).Over(dt)
+	p := avail.Over(dt)
 	if b.cfg.MaxDischarge > 0 && p > b.cfg.MaxDischarge {
 		p = b.cfg.MaxDischarge
 	}
