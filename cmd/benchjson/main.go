@@ -20,7 +20,7 @@
 // floors such as steps/s), -max fails when it rises above (ratio ceilings
 // such as delta_frac):
 //
-//	benchjson -min BatchStepAll1024:steps/s:1000000 -max DeltaSnapshot:delta_frac:0.1
+//	benchjson -min BatchStep:steps/s:1000000 -max DeltaSnapshot:delta_frac:0.1
 package main
 
 import (
@@ -210,7 +210,7 @@ func gate(cur, base *Report, specs []string) error {
 // absGate checks each <Name>:<unit>:<value> spec against an absolute bound:
 // -min specs fail when the metric's mean is below value, -max specs when it
 // is above. Unlike relative gates these need no baseline, so CI can pin
-// hard floors (BatchStepAll steps/s >= 1e6) and ceilings (delta_frac <= 0.1)
+// hard floors (BatchStep steps/s >= 1e6) and ceilings (delta_frac <= 0.1)
 // that hold regardless of runner drift.
 func absGate(rep *Report, mins, maxes []string) error {
 	var failed []string

@@ -69,19 +69,13 @@ func exportedSymbols(t *testing.T, dir string) map[string]string {
 var facadeFor = map[string]map[string]string{
 	"internal/sim": {
 		"ApplyDelta":        "ApplyDelta",
-		"Batch":             "Batch",
-		"BatchColumns":      "BatchColumns",
-		"BatchOptions":      "BatchOptions",
 		"BuildBoundTable":   "BuildBoundTable",
 		"CappingResult":     "CappingResult",
 		"DeltaVersion":      "DeltaVersion",
 		"Engine":            "Engine",
-		"ErrBadSlot":        "ErrBadSlot",
 		"ErrDeltaBase":      "ErrDeltaBase",
 		"ErrFinished":       "ErrEngineFinished",
 		"ErrSnapshotFaults": "ErrSnapshotFaults",
-		"NewBatch":          "NewBatch",
-		"Sample":            "Sample",
 		"Instrument":        "Instrument",
 		"New":               "NewEngine",
 		"NewInstrument":     "NewInstrument",

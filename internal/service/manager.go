@@ -71,10 +71,9 @@ type PlantOptions struct {
 	Watchdog *tsdb.Watchdog
 	// Every is the fleet sampling cadence. Zero means 1 second.
 	Every time.Duration
-	// Tap is a second plant-probe consumer with the same recorder
-	// lifecycle as Sink (the fleet control plane's ledger feed). Nil
-	// disables it; see PlantTap. A tap may return nil recorders and read
-	// Manager.Probes instead — the batched-columns feed.
+	// Tap is told when sessions arrive and leave, so a consumer that pulls
+	// plant state through Manager.Probes (the fleet control plane's ledger
+	// feed) can track the population. Nil disables it; see PlantTap.
 	Tap PlantTap
 }
 
@@ -157,10 +156,10 @@ func (c *Config) fill() {
 	}
 }
 
-// nShards fixes the shard count: one run queue, one worker goroutine, and
-// one engine batch per shard. 16 keeps map contention negligible at
-// hundreds of thousands of sessions while giving the batch sweeps enough
-// parallelism to saturate a mid-size host.
+// nShards fixes the shard count: one run queue and one worker goroutine per
+// shard. 16 keeps map contention negligible at hundreds of thousands of
+// sessions while giving the workers enough parallelism to saturate a
+// mid-size host.
 const nShards = 16
 
 // NumShards exposes the shard count so callers can size a
@@ -168,13 +167,9 @@ const nShards = 16
 // recorder's locking as fine-grained as the map it observes.
 const NumShards = nShards
 
-// quantumMax bounds how many step requests one lockstep quantum gathers, so
-// a deep run queue cannot starve the requests behind it of replies.
-const quantumMax = 512
-
 // shard is one of the manager's service lanes: an id map shared with
-// lookups, plus the run queue, control channel and engine batch owned by the
-// shard's worker goroutine.
+// lookups, plus the run queue and control channel its worker goroutine
+// serves.
 type shard struct {
 	mu sync.Mutex
 	m  map[string]*session
@@ -185,20 +180,6 @@ type shard struct {
 	runq chan request
 	ctl  chan ctlMsg
 	done chan struct{}
-
-	// ---- worker-owned state below ----
-
-	// batch holds every adopted engine in struct-of-arrays form; sess maps
-	// its slots back to sessions.
-	batch *sim.Batch
-	sess  []*session
-	// demands is the persistent StepAll input, Skip for every slot at rest;
-	// a quantum marks its slots and unmarks them after the sweep.
-	demands []sim.Sample
-	// qreqs and qprev are the quantum scratch buffers (requests gathered,
-	// engine tick before the sweep).
-	qreqs []request
-	qprev []int
 }
 
 type ctlOp int
@@ -217,7 +198,7 @@ type ctlMsg struct {
 }
 
 // Manager hosts the live sessions: sharded run queues feeding per-shard
-// batch workers, a janitor evicting idle sessions, and gauges over the whole
+// workers, a janitor evicting idle sessions, and gauges over the whole
 // population. All methods are safe for concurrent use.
 type Manager struct {
 	cfg    Config
@@ -275,7 +256,6 @@ func NewManager(cfg Config) *Manager {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.m = make(map[string]*session)
-		sh.batch = sim.NewBatch(sim.BatchOptions{})
 		sh.runq = make(chan request, runqDepth)
 		sh.ctl = make(chan ctlMsg, 4)
 		sh.done = make(chan struct{})
@@ -306,7 +286,7 @@ func NewManager(cfg Config) *Manager {
 		slowSteps: reg.Counter("dcsprint_service_slow_steps_total",
 			"Steps served slower than the slow-step threshold"),
 		stepLatency: reg.Histogram("dcsprint_service_step_latency_seconds",
-			"Engine step service latency", stepLatencyBuckets()),
+			"Step service latency, from dequeue on the shard worker to reply", stepLatencyBuckets()),
 		recovered: reg.Counter("dcsprint_service_sessions_recovered_total",
 			"Sessions rebuilt from their journals at startup"),
 		recoveryFails: reg.Counter("dcsprint_service_recovery_failures_total",
@@ -336,13 +316,13 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// worker is one shard's goroutine: sole owner of the shard batch, its
-// engines, and their journals. Control messages preempt queued work.
+// worker is one shard's goroutine: sole owner of the shard's engines and
+// their journals. Control messages preempt queued work; requests are served
+// one at a time in run-queue order, which keeps each session's FIFO.
 func (m *Manager) worker(idx int) {
 	sh := &m.shards[idx]
 	defer m.wg.Done()
 	defer close(sh.done)
-	var held *request
 	for {
 		select {
 		case c := <-sh.ctl:
@@ -352,187 +332,37 @@ func (m *Manager) worker(idx int) {
 			continue
 		default:
 		}
-		var first request
-		if held != nil {
-			first, held = *held, nil
-		} else {
-			select {
-			case c := <-sh.ctl:
-				if m.handleCtl(sh, c) {
-					return
-				}
-				continue
-			case first = <-sh.runq:
-			}
-		}
-		if first.op != opStep {
-			m.handleReq(sh, first)
-			continue
-		}
-		held = m.runQuantum(sh, first)
-	}
-}
-
-// adopt installs a session's engine into the shard batch — lazily, on the
-// session's first dequeued request, so install ordering can never race the
-// worker.
-func (m *Manager) adopt(sh *shard, s *session) {
-	s.slot = sh.batch.AddEngine(s.eng)
-	s.eng = nil
-	for len(sh.sess) <= s.slot {
-		sh.sess = append(sh.sess, nil)
-	}
-	sh.sess[s.slot] = s
-	for len(sh.demands) < sh.batch.Slots() {
-		sh.demands = append(sh.demands, sim.Sample{Skip: true})
-	}
-}
-
-// runQuantum gathers consecutive step requests for distinct sessions into
-// one lockstep quantum, advances them together through the shard batch, and
-// replies in arrival order. The first request that cannot join — a non-step
-// op, or a second step for a session already in the quantum — is returned to
-// the caller as a holdover so per-session FIFO order is preserved.
-func (m *Manager) runQuantum(sh *shard, first request) (held *request) {
-	reqs := append(sh.qreqs[:0], first)
-	first.s.inQuantum = true
-gather:
-	for len(reqs) < quantumMax {
 		select {
-		case r := <-sh.runq:
-			if r.op != opStep || r.s.inQuantum {
-				h := r
-				held = &h
-				break gather
+		case c := <-sh.ctl:
+			if m.handleCtl(sh, c) {
+				return
 			}
-			r.s.inQuantum = true
-			reqs = append(reqs, r)
-		default:
-			break gather
+		case req := <-sh.runq:
+			m.handleReq(req)
 		}
 	}
-	start := time.Now()
-	// Admission pass: per-request checks in arrival order; survivors mark
-	// their slot's demand. A request replied to here clears its reply chan
-	// so the post-sweep pass skips it.
-	prev := sh.qprev[:0]
-	stepping := 0
-	for i := range reqs {
-		r := &reqs[i]
-		s := r.s
-		s.queued.Add(-1)
-		s.inQuantum = false
-		s.touch()
-		prev = append(prev, -1)
-		if !r.enq.IsZero() {
-			// The queue-wait span covers enqueue to dequeue — the part of a
-			// 429 storm or a stalled stream that is invisible to the client.
-			m.opSpan("queue-wait", s.id, r.tc, r.enq, "")
-		}
-		if s.closed {
-			r.reply <- response{err: s.closeErr}
-			r.reply = nil
-			continue
-		}
-		if s.slot < 0 {
-			m.adopt(sh, s)
-		}
-		eng := sh.batch.Engine(s.slot)
-		cur := eng.Tick()
-		if r.seq >= 0 {
-			// Idempotent application: the expected seq applies, the
-			// just-applied seq gets its cached decision again (a reconnect
-			// that lost the ack), anything else desynchronized.
-			switch {
-			case r.seq == int64(cur):
-			case r.seq == int64(cur)-1 && s.haveLast:
-				r.reply <- response{dec: s.lastDec}
-				r.reply = nil
-				continue
-			default:
-				r.reply <- response{err: fmt.Errorf("%w: seq %d, next tick %d", ErrStepSeq, r.seq, cur)}
-				r.reply = nil
-				continue
-			}
-		}
-		if s.traceLen > 0 && cur >= s.traceLen {
-			r.reply <- response{err: ErrTraceExhausted}
-			r.reply = nil
-			continue
-		}
-		prev[i] = cur
-		sh.demands[s.slot] = sim.Sample{Demand: r.demand}
-		stepping++
-	}
-	if stepping > 0 {
-		decs, stepErr := sh.batch.StepAll(sh.demands)
-		// Reply pass: journal before replying, per session, in arrival
-		// order — once the client sees the ack, the tick is recoverable.
-		for i := range reqs {
-			r := &reqs[i]
-			if r.reply == nil {
-				continue
-			}
-			s := r.s
-			sh.demands[s.slot] = sim.Sample{Skip: true}
-			eng := sh.batch.Engine(s.slot)
-			if eng.Tick() == prev[i] {
-				// The sweep failed this slot without advancing it; batch
-				// members are never finished engines, so this is a
-				// should-not-happen guarded for completeness.
-				err := stepErr
-				if err == nil {
-					err = fmt.Errorf("service: batch step did not advance session %s", s.id)
-				}
-				r.reply <- response{err: err}
-				continue
-			}
-			s.journalStep(eng, prev[i], r.demand)
-			s.tick.Store(int64(eng.Tick()))
-			m.metrics.steps.Inc()
-			elapsed := time.Since(start)
-			if r.tc.Req != "" {
-				m.metrics.stepLatency.ObserveWithExemplar(elapsed.Seconds(), r.tc.Req)
-			} else {
-				m.metrics.stepLatency.Observe(elapsed.Seconds())
-			}
-			if elapsed > m.cfg.SlowStep {
-				m.metrics.slowSteps.Inc()
-				m.flight(telemetry.EventSlowStep, s.id, r.tc,
-					fmt.Sprintf("tick %d took %v", prev[i], elapsed))
-			}
-			if !r.enq.IsZero() {
-				m.opSpan("step", s.id, r.tc, start, fmt.Sprintf("tick %d", prev[i]))
-			}
-			s.lastDec, s.haveLast = decisionOf(prev[i], decs[s.slot]), true
-			r.reply <- response{dec: s.lastDec}
-		}
-	}
-	// Keep the scratch buffers (and drop request payloads so replies are
-	// not retained past the quantum).
-	for i := range reqs {
-		reqs[i] = request{}
-	}
-	sh.qreqs, sh.qprev = reqs[:0], prev[:0]
-	return held
 }
 
-// handleReq serves one non-step request on the shard worker.
-func (m *Manager) handleReq(sh *shard, req request) {
+// handleReq serves one request on the shard worker.
+func (m *Manager) handleReq(req request) {
 	s := req.s
 	s.queued.Add(-1)
 	s.touch()
+	start := time.Now()
+	if req.op == opStep && !req.enq.IsZero() {
+		// The queue-wait span covers enqueue to dequeue — the part of a 429
+		// storm or a stalled stream that is invisible to the client.
+		m.opSpan("queue-wait", s.id, req.tc, req.enq, "")
+	}
 	if s.closed {
 		req.reply <- response{err: s.closeErr}
 		return
 	}
-	if s.slot < 0 {
-		m.adopt(sh, s)
-	}
 	switch req.op {
+	case opStep:
+		m.step(s, req, start)
 	case opSnapshot:
-		start := time.Now()
-		snap, err := sh.batch.Engine(s.slot).Snapshot()
+		snap, err := s.eng.Snapshot()
 		if err != nil {
 			req.reply <- response{err: err}
 			return
@@ -542,9 +372,8 @@ func (m *Manager) handleReq(sh *shard, req request) {
 		}
 		req.reply <- response{doc: SnapshotDoc{Spec: s.spec, Snapshot: snap}}
 	case opFinish:
-		eng := sh.batch.Remove(s.slot)
-		sh.sess[s.slot] = nil
-		s.slot = -1
+		eng := s.eng
+		s.eng = nil
 		res, err := eng.Finish()
 		// Finished either way — the journal has nothing left to recover.
 		s.dropJournal.Store(true)
@@ -561,15 +390,58 @@ func (m *Manager) handleReq(sh *shard, req request) {
 	}
 }
 
-// retire removes a session from service on the shard worker: engine out of
-// the batch, journal detached (kept or removed per dropJournal), map entry
-// dropped. Later dequeued requests for it are told err.
-func (m *Manager) retire(sh *shard, s *session, err error) {
-	if s.slot >= 0 {
-		sh.batch.Remove(s.slot)
-		sh.sess[s.slot] = nil
-		s.slot = -1
+// step serves one step request: the seq and trace-length checks, the engine
+// tick, the journal append, then the reply — journaled before the client
+// sees the ack, so an acknowledged tick is always recoverable.
+func (m *Manager) step(s *session, r request, start time.Time) {
+	cur := s.eng.Tick()
+	if r.seq >= 0 {
+		// Idempotent application: the expected seq applies, the
+		// just-applied seq gets its cached decision again (a reconnect that
+		// lost the ack), anything else desynchronized.
+		switch {
+		case r.seq == int64(cur):
+		case r.seq == int64(cur)-1 && s.haveLast:
+			r.reply <- response{dec: s.lastDec}
+			return
+		default:
+			r.reply <- response{err: fmt.Errorf("%w: seq %d, next tick %d", ErrStepSeq, r.seq, cur)}
+			return
+		}
 	}
+	if s.traceLen > 0 && cur >= s.traceLen {
+		r.reply <- response{err: ErrTraceExhausted}
+		return
+	}
+	dec, err := s.eng.Step(r.demand)
+	if err != nil {
+		r.reply <- response{err: err}
+		return
+	}
+	s.journalStep(cur, r.demand)
+	s.tick.Store(int64(s.eng.Tick()))
+	m.metrics.steps.Inc()
+	elapsed := time.Since(start)
+	if r.tc.Req != "" {
+		m.metrics.stepLatency.ObserveWithExemplar(elapsed.Seconds(), r.tc.Req)
+	} else {
+		m.metrics.stepLatency.Observe(elapsed.Seconds())
+	}
+	if elapsed > m.cfg.SlowStep {
+		m.metrics.slowSteps.Inc()
+		m.flight(telemetry.EventSlowStep, s.id, r.tc, fmt.Sprintf("tick %d took %v", cur, elapsed))
+	}
+	if !r.enq.IsZero() {
+		m.opSpan("step", s.id, r.tc, start, fmt.Sprintf("tick %d", cur))
+	}
+	s.lastDec, s.haveLast = decisionOf(cur, dec), true
+	r.reply <- response{dec: s.lastDec}
+}
+
+// retire removes a session from service on the shard worker: engine
+// released, journal detached (kept or removed per dropJournal), map entry
+// dropped. Later dequeued requests for it are told err.
+func (m *Manager) retire(s *session, err error) {
 	s.eng = nil
 	s.closeJournal()
 	s.closed, s.closeErr = true, err
@@ -584,11 +456,11 @@ func (m *Manager) handleCtl(sh *shard, c ctlMsg) (shutdown bool) {
 			c.evicted <- false
 			return false
 		}
-		m.retire(sh, c.s, ErrClosed)
+		m.retire(c.s, ErrClosed)
 		c.evicted <- true
 		return false
 	case ctlProbe:
-		c.probes <- m.probeColumns(sh)
+		c.probes <- probeShard(sh)
 		return false
 	case ctlShutdown:
 		// Retire every live session — journals are kept (dropJournal is only
@@ -602,7 +474,7 @@ func (m *Manager) handleCtl(sh *shard, c ctlMsg) (shutdown bool) {
 		sh.mu.Unlock()
 		for _, s := range all {
 			if !s.closed {
-				m.retire(sh, s, ErrClosed)
+				m.retire(s, ErrClosed)
 			}
 		}
 		for {
@@ -618,26 +490,26 @@ func (m *Manager) handleCtl(sh *shard, c ctlMsg) (shutdown bool) {
 	return false
 }
 
-// PlantProbe is one live session's plant state, read from its shard
-// worker's batch columns rather than a per-tick recorder callback.
+// PlantProbe is one live session's plant state, read on its shard worker
+// when asked for rather than mirrored every tick.
 type PlantProbe struct {
 	// ID is the session id.
 	ID string
 	// Dead marks a tripped or overheated facility.
 	Dead bool
-	// Sample carries the column-backed subset of the plant probe: tick,
-	// workload numbers, DC load, and the thermal and stored-energy state.
-	// Power flows the columns do not mirror (PDU, UPS, generator, cooling,
-	// grid) are zero.
+	// Sample carries the probe: Tick (completed ticks) and Now, the plant
+	// ledgers as the engine holds them (breaker stress, UPS/TES SoC, room
+	// temperature and thermal margin, chip headroom), and the last tick's
+	// workload numbers (demand, delivered, degree, phase, DC load), zero
+	// before the session's first step. The other power flows (PDU, UPS,
+	// generator, cooling, grid) are zero.
 	Sample sim.PlantSample
 }
 
-// Probes folds every shard's batch columns into per-session plant probes —
-// the pull-based fleet ledger feed. Each shard's fold runs on its worker
-// between quanta, so it reads consistent column state without locks; a
-// session that has not yet reached its worker reports nothing, exactly like
-// a recorder that has not yet seen a sample. Shards already shut down
-// contribute nothing.
+// Probes reads every live session's plant state — the pull-based fleet
+// ledger feed. Each shard's probes are built on its worker between
+// requests, so they read engine state without locks. Shards already shut
+// down contribute nothing.
 func (m *Manager) Probes() []PlantProbe {
 	var out []PlantProbe
 	for i := range m.shards {
@@ -657,36 +529,28 @@ func (m *Manager) Probes() []PlantProbe {
 	return out
 }
 
-// probeColumns builds the shard's probe set from its batch columns — one
-// sequential pass over the struct-of-arrays plant state. Worker goroutine
-// only.
-func (m *Manager) probeColumns(sh *shard) []PlantProbe {
-	c := sh.batch.Columns()
-	out := make([]PlantProbe, 0, sh.batch.Len())
-	for slot, s := range sh.sess {
-		if s == nil || !c.Live[slot] {
-			continue
+// probeShard builds the probe of every session in the shard. Worker
+// goroutine only: the worker drops sessions from the map as it retires
+// them, so every session listed here still has its engine.
+func probeShard(sh *shard) []PlantProbe {
+	sh.mu.Lock()
+	live := make([]*session, 0, len(sh.m))
+	for _, s := range sh.m {
+		live = append(live, s)
+	}
+	sh.mu.Unlock()
+	out := make([]PlantProbe, 0, len(live))
+	for _, s := range live {
+		p := PlantProbe{ID: s.id}
+		p.Sample.Tick = s.eng.Tick()
+		p.Sample.Now = s.eng.Now()
+		if s.haveLast {
+			d := &s.lastDec
+			p.Sample.Demand, p.Sample.Delivered, p.Sample.Degree = d.Demand, d.Delivered, d.Degree
+			p.Sample.Phase, p.Sample.DCLoadW = d.Phase, d.DCLoadW
 		}
-		tick := int(c.Tick[slot])
-		out = append(out, PlantProbe{
-			ID:   s.id,
-			Dead: c.Dead[slot],
-			Sample: sim.PlantSample{
-				Tick:           tick,
-				Now:            time.Duration(tick) * s.interval,
-				Demand:         c.Demand[slot],
-				Delivered:      c.Delivered[slot],
-				Degree:         c.Degree[slot],
-				Phase:          int(c.Phase[slot]),
-				DCLoadW:        c.DCLoadW[slot],
-				RoomTempC:      c.RoomTempC[slot],
-				ThermalMarginC: c.ThermalMarginC[slot],
-				BreakerStress:  c.BreakerStress[slot],
-				UPSSoC:         c.UPSSoC[slot],
-				TESSoC:         c.TESSoC[slot],
-				ChipHeadroomJ:  c.ChipHeadroomJ[slot],
-			},
-		})
+		p.Dead = s.eng.ReadPlant(&p.Sample)
+		out = append(out, p)
 	}
 	return out
 }
@@ -820,9 +684,8 @@ type installOpts struct {
 	haveLast bool
 }
 
-// install registers a freshly built engine as a live session. The engine
-// rides along on the session struct until the shard worker adopts it into
-// the batch on the first dequeued request.
+// install registers a freshly built engine as a live session; from here on
+// only the session's shard worker touches the engine.
 func (m *Manager) install(spec ScenarioSpec, eng *sim.Engine, opts installOpts) *session {
 	id := opts.id
 	if id == "" {
@@ -834,7 +697,6 @@ func (m *Manager) install(spec ScenarioSpec, eng *sim.Engine, opts installOpts) 
 		mgr:      m,
 		sh:       m.shardOf(id),
 		eng:      eng,
-		slot:     -1,
 		interval: eng.Interval(),
 		jn:       opts.jn,
 		specJSON: opts.specJSON,
@@ -847,8 +709,11 @@ func (m *Manager) install(spec ScenarioSpec, eng *sim.Engine, opts installOpts) 
 	}
 	s.tick.Store(int64(eng.Tick()))
 	s.touch()
-	if rec := m.plantRecorder(s.id); rec != nil {
-		eng.AttachPlantRecorder(rec)
+	if m.cfg.Plant.Sink != nil {
+		eng.AttachPlantRecorder(m.cfg.Plant.Sink.Session(s.id))
+	}
+	if m.cfg.Plant.Tap != nil {
+		m.cfg.Plant.Tap.Session(s.id)
 	}
 	sh := s.sh
 	sh.mu.Lock()

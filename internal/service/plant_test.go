@@ -2,6 +2,8 @@ package service
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"runtime/pprof"
 	"strconv"
 	"testing"
@@ -109,7 +111,7 @@ func TestManagerPlantPipeline(t *testing.T) {
 }
 
 // TestShardWorkerLabels checks every shard worker goroutine carries a pprof
-// shard label, so CPU profiles attribute batch-stepping work to the shard
+// shard label, so CPU profiles attribute stepping work to the shard
 // that burned it.
 func TestShardWorkerLabels(t *testing.T) {
 	m := NewManager(Config{})
@@ -137,4 +139,142 @@ func TestShardWorkerLabels(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestManagerProbes pins the pull-based probe to the per-tick recorder: at
+// every tick of a burst that drives sessions through phases 1–3, each
+// probe's plant ledgers are bit-identical to the last PlantSample the
+// session's tsdb recorder received, and its workload fields echo the last
+// step's decision. A restored session probes its restored plant before its
+// first step, with zero workload fields.
+func TestManagerProbes(t *testing.T) {
+	store := tsdb.New(tsdb.Options{})
+	sink := tsdb.NewPlantSink(store, tsdb.SinkOptions{})
+	m := NewManager(Config{}.WithPlant(sink, nil, time.Hour))
+	defer m.Close()
+
+	specs := []ScenarioSpec{yahooSpec("probe"), yahooSpec("probe-chip"), yahooSpec("probe-notes")}
+	specs[1].ChipPCMMinutes = 2
+	specs[2].NoTES = true
+	ids := make([]string, len(specs))
+	for i, spec := range specs {
+		s, err := m.Create(spec)
+		if err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+		ids[i] = s.ID
+	}
+	last := func(base, id string) float64 {
+		v, ok := store.Lookup(base + `{session="` + id + `"}`).Last()
+		if !ok {
+			return -1 // optional field the recorder skips: model absent
+		}
+		return v
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	checkPlant := func(what string, p PlantProbe, id string) {
+		t.Helper()
+		for _, f := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"BreakerStress", p.Sample.BreakerStress, last("plant.breaker_stress", id)},
+			{"UPSSoC", p.Sample.UPSSoC, last("plant.ups_soc", id)},
+			{"TESSoC", p.Sample.TESSoC, last("plant.tes_soc", id)},
+			{"RoomTempC", p.Sample.RoomTempC, last("plant.room_temp_c", id)},
+			{"ThermalMarginC", p.Sample.ThermalMarginC, last("plant.thermal_margin_c", id)},
+			{"ChipHeadroomJ", p.Sample.ChipHeadroomJ, last("plant.chip_headroom_j", id)},
+		} {
+			if !same(f.got, f.want) {
+				t.Fatalf("%s: %s = %v, recorder's last sample has %v", what, f.name, f.got, f.want)
+			}
+		}
+	}
+	probes := func() map[string]PlantProbe {
+		out := map[string]PlantProbe{}
+		for _, p := range m.Probes() {
+			out[p.ID] = p
+		}
+		return out
+	}
+
+	// A second prober runs throughout, racing the steps, creates and
+	// finishes below (the fleet host's fold loop does the same).
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				m.Probes()
+			}
+		}
+	}()
+	defer func() { close(stop); <-stopped }()
+
+	sc := yahooScenario(t, "probe")
+	decs := make([]Decision, len(ids))
+	phases := map[int]bool{}
+	restoredChecked := false
+	for tick := 0; tick < sc.Trace.Len(); tick++ {
+		for i, id := range ids {
+			var err error
+			if decs[i], err = m.Step(id, sc.Trace.Samples[tick]); err != nil {
+				t.Fatalf("Step: %v", err)
+			}
+		}
+		ps := probes()
+		for i, id := range ids {
+			p, ok := ps[id]
+			if !ok {
+				t.Fatalf("tick %d: no probe for session %s", tick, id)
+			}
+			what := fmt.Sprintf("tick %d session %d", tick, i)
+			checkPlant(what, p, id)
+			d := decs[i]
+			if p.Sample.Tick != tick+1 || p.Dead != d.Dead ||
+				!same(p.Sample.Demand, d.Demand) || !same(p.Sample.Delivered, d.Delivered) ||
+				!same(p.Sample.Degree, d.Degree) || p.Sample.Phase != d.Phase ||
+				!same(p.Sample.DCLoadW, last("plant.dc_load_watts", id)) {
+				t.Fatalf("%s: probe %+v disagrees with decision %+v", what, p, d)
+			}
+			phases[p.Sample.Phase] = true
+		}
+		if !restoredChecked && decs[0].Phase == 2 {
+			restoredChecked = true
+			doc, err := m.Snapshot(ids[0])
+			if err != nil {
+				t.Fatalf("Snapshot: %v", err)
+			}
+			restored, err := m.Restore(doc)
+			if err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			p, ok := probes()[restored.ID]
+			if !ok {
+				t.Fatal("restored session reports no probe before its first step")
+			}
+			if _, ok := store.Lookup(`plant.ups_soc{session="` + restored.ID + `"}`).Last(); ok {
+				t.Fatal("restored session's recorder saw a sample before its first step")
+			}
+			checkPlant("restored before first step", p, ids[0])
+			if p.Sample.Tick != tick+1 || p.Sample.Demand != 0 || p.Sample.Degree != 0 ||
+				p.Sample.Phase != 0 || p.Sample.DCLoadW != 0 {
+				t.Fatalf("restored probe carries workload fields before its first step: %+v", p.Sample)
+			}
+			if _, err := m.Finish(restored.ID); err != nil {
+				t.Fatalf("Finish restored: %v", err)
+			}
+		}
+	}
+	if !restoredChecked {
+		t.Fatal("session 0 never reached phase 2")
+	}
+	for _, ph := range []int{1, 2, 3} {
+		if !phases[ph] {
+			t.Errorf("probes never saw phase %d (saw %v)", ph, phases)
+		}
+	}
 }

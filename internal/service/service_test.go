@@ -246,7 +246,7 @@ func TestBackpressure(t *testing.T) {
 	// must turn the next request away with ErrBusy and count it. Build the
 	// session by hand, with its pending count pre-loaded, so the shard
 	// worker never drains anything out from under the test.
-	s := &session{id: "full", mgr: m, sh: m.shardOf("full"), slot: -1}
+	s := &session{id: "full", mgr: m, sh: m.shardOf("full")}
 	s.queued.Store(int32(m.cfg.QueueDepth))
 	if _, err := s.step(-1, 1.0, TraceContext{}); !errors.Is(err, ErrBusy) {
 		t.Fatalf("step into full session queue: err = %v, want ErrBusy", err)
@@ -429,6 +429,61 @@ func BenchmarkServiceSession(b *testing.B) {
 			b.Fatalf("Step: %v", err)
 		}
 	}
+}
+
+// BenchmarkServiceSessionIdle measures what resident idle sessions cost a
+// busy one: it times a single streaming session's Step on a manager that
+// also holds ~1k idle sessions per shard, each built from a four-sample
+// inline trace and stepped once. The idle_x metric divides that ns/step by
+// the same session's ns/step on an otherwise empty manager, measured first
+// in the same process; a step whose cost grows with shard population shows
+// up as idle_x well above 1.
+func BenchmarkServiceSessionIdle(b *testing.B) {
+	const idle = 1024 * NumShards
+	timeSteps := func(m *Manager, n int) time.Duration {
+		s, err := m.Create(ScenarioSpec{})
+		if err != nil {
+			b.Fatalf("Create: %v", err)
+		}
+		// Warm past the one-time burst-start event formatting.
+		for i := 0; i < 16; i++ {
+			if _, err := m.Step(s.ID, 1.5); err != nil {
+				b.Fatalf("Step: %v", err)
+			}
+		}
+		b.StartTimer()
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			if _, err := m.Step(s.ID, 1.5); err != nil {
+				b.Fatalf("Step: %v", err)
+			}
+		}
+		elapsed := time.Since(start)
+		b.StopTimer()
+		return elapsed
+	}
+	b.StopTimer()
+	empty := NewManager(Config{})
+	alone := timeSteps(empty, b.N)
+	empty.Close()
+
+	m := NewManager(Config{MaxSessions: idle + 1})
+	defer m.Close()
+	spec := ScenarioSpec{Trace: &TraceSpec{Kind: "samples", Samples: []float64{0.6, 0.6, 0.6, 0.6}}}
+	for i := 0; i < idle; i++ {
+		s, err := m.Create(spec)
+		if err != nil {
+			b.Fatalf("Create idle %d: %v", i, err)
+		}
+		if _, err := m.Step(s.ID, 0.6); err != nil {
+			b.Fatalf("Step idle %d: %v", i, err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	crowd := timeSteps(m, b.N)
+	b.ReportMetric(float64(crowd.Nanoseconds())/float64(b.N), "ns/step")
+	b.ReportMetric(float64(crowd)/float64(alone), "idle_x")
 }
 
 // TestStreamStepContext checks the cancellable step form: it matches Step on

@@ -61,21 +61,21 @@ type response struct {
 	err error
 }
 
-// session is one live engine's bookkeeping. The engine itself lives in the
-// shard worker's batch: every operation is a request through the shard run
-// queue, and all fields below the marker are owned by that worker goroutine,
-// so the engine and its journal never need locks.
+// session is one live engine's bookkeeping. Every operation is a request
+// through the shard run queue, and the engine plus all fields below the
+// marker are owned by that shard's worker goroutine, so the engine and its
+// journal never need locks.
 type session struct {
 	id   string
 	spec ScenarioSpec
 	mgr  *Manager
 	sh   *shard
 
-	// eng hands the freshly built engine to the shard worker: install sets
-	// it before publishing the session in the shard map, and the worker
-	// adopts it into the batch on the session's first dequeued request
-	// (publishing via the map and requests via the channel both establish
-	// the necessary happens-before edges).
+	// eng is the session's engine for its whole life: install sets it
+	// before publishing the session in the shard map, and from then on only
+	// the shard worker touches it (publishing via the map and requests via
+	// the channel both establish the necessary happens-before edges). The
+	// worker clears it when the session retires.
 	eng *sim.Engine
 
 	// queued counts this session's requests sitting in the shard run queue;
@@ -94,16 +94,10 @@ type session struct {
 
 	// ---- worker-owned state below ----
 
-	// slot is the session's batch slot; -1 until the worker adopts the
-	// engine.
-	slot int
 	// closed marks a session the worker has retired (finished, evicted, or
 	// shut down); closeErr is what later dequeued requests are told.
 	closed   bool
 	closeErr error
-	// inQuantum dedupes sessions while the worker gathers a lockstep
-	// quantum; cleared before the quantum replies.
-	inQuantum bool
 
 	// Durability state. jn == nil means in-memory only.
 	jn        *durability.Journal
@@ -204,7 +198,7 @@ func (s *session) closeJournal() {
 // appends. A write failure degrades the session to in-memory: counted,
 // flight-recorded, journal removed so a later Recover does not resurrect a
 // stale prefix. Worker goroutine only.
-func (s *session) journalStep(eng *sim.Engine, tick int, demand float64) {
+func (s *session) journalStep(tick int, demand float64) {
 	if s.jn == nil {
 		return
 	}
@@ -214,7 +208,7 @@ func (s *session) journalStep(eng *sim.Engine, tick int, demand float64) {
 		if s.sinceSnap < s.mgr.cfg.Durability.SnapshotEvery {
 			return
 		}
-		if err = s.checkpoint(eng); err == nil {
+		if err = s.checkpoint(); err == nil {
 			s.sinceSnap = 0
 			return
 		}
@@ -231,16 +225,16 @@ func (s *session) journalStep(eng *sim.Engine, tick int, demand float64) {
 // will not encode — the engine picked up fault injection, or the base
 // diverged — falls through to a full rewrite rather than failing the
 // checkpoint. Worker goroutine only.
-func (s *session) checkpoint(eng *sim.Engine) error {
+func (s *session) checkpoint() error {
 	if n := s.mgr.cfg.Durability.DeltaChain; n > 0 && s.base != nil && s.chain < n {
-		if d, err := eng.DeltaSnapshot(s.base); err == nil {
+		if d, err := s.eng.DeltaSnapshot(s.base); err == nil {
 			if err := s.jn.AppendDelta(d); err != nil {
 				return err
 			}
 			// The next delta is keyed against the state at this tick;
 			// ApplyDelta's output is byte-identical to this Snapshot, so the
 			// recovery-side fold reproduces the same chain of base CRCs.
-			base, err := eng.Snapshot()
+			base, err := s.eng.Snapshot()
 			if err != nil {
 				return err
 			}
@@ -248,11 +242,11 @@ func (s *session) checkpoint(eng *sim.Engine) error {
 			return nil
 		}
 	}
-	snap, err := eng.Snapshot()
+	snap, err := s.eng.Snapshot()
 	if err != nil {
 		return err
 	}
-	if err := s.jn.WriteSnapshot(s.specJSON, snap, uint64(eng.Tick())); err != nil {
+	if err := s.jn.WriteSnapshot(s.specJSON, snap, uint64(s.eng.Tick())); err != nil {
 		return err
 	}
 	s.base, s.chain = snap, 0

@@ -1,46 +1,12 @@
 package service
 
-import "dcsprint/internal/sim"
-
-// PlantTap is a second consumer of the per-session plant probe, mirroring
-// the tsdb.PlantSink recorder lifecycle: Session is called at install with
-// the session's id and may return a recorder to attach (nil to observe
-// nothing), Drop when the session leaves. The fleet control plane uses a
-// tap to keep per-DC capacity ledgers fed from live engines without the
-// service layer importing it. Like Config.Plant, the tap is nil-gated:
-// without one, engines run exactly as before and the step hot path stays
-// allocation-free.
+// PlantTap follows the session population for a consumer that reads plant
+// state through Manager.Probes: Session is called at install with the
+// session's id, Drop when the session leaves. The fleet control plane uses
+// a tap to keep per-DC capacity ledgers fed from live engines without the
+// service layer importing it. Like Config.Plant, the tap is nil-gated and
+// never touches the step hot path.
 type PlantTap interface {
-	Session(id string) sim.PlantRecorder
+	Session(id string)
 	Drop(id string)
-}
-
-// fanoutRecorder forwards one plant sample to both the sink's and the
-// tap's recorders. It is built once at install — the per-step cost is one
-// extra interface call, no allocations.
-type fanoutRecorder struct{ a, b sim.PlantRecorder }
-
-func (f fanoutRecorder) RecordPlant(s sim.PlantSample) {
-	f.a.RecordPlant(s)
-	f.b.RecordPlant(s)
-}
-
-// plantRecorder composes the plant sink's and the tap's recorders for one
-// session; nil when neither wants the probe.
-func (m *Manager) plantRecorder(id string) sim.PlantRecorder {
-	var a, b sim.PlantRecorder
-	if m.cfg.Plant.Sink != nil {
-		a = m.cfg.Plant.Sink.Session(id)
-	}
-	if m.cfg.Plant.Tap != nil {
-		b = m.cfg.Plant.Tap.Session(id)
-	}
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	default:
-		return fanoutRecorder{a, b}
-	}
 }

@@ -309,26 +309,8 @@ func (e *Engine) Dead() bool { return e.p.ctl.Dead() }
 // Step advances the simulation one tick under the given normalized demand
 // and returns the controller's decision for the tick.
 func (e *Engine) Step(demand float64) (TickDecision, error) {
-	var dec TickDecision
-	_, err := e.stepInto(demand, &dec)
-	return dec, err
-}
-
-// stepProbe carries the per-tick plant readings Step computes anyway —
-// breaker stress scan and UPS state of charge — so batched callers can fill
-// their struct-of-arrays columns without re-walking the power tree.
-type stepProbe struct {
-	stress float64
-	upsSoC float64
-}
-
-// stepInto is Step writing the decision through a pointer (a TickDecision is
-// large enough that returning it by value costs a measurable fraction of a
-// batched step) and returning the tick's plant probe alongside.
-func (e *Engine) stepInto(demand float64, dec *TickDecision) (stepProbe, error) {
 	if e.finished {
-		*dec = TickDecision{}
-		return stepProbe{}, ErrFinished
+		return TickDecision{}, ErrFinished
 	}
 	sc, step, i := &e.sc, e.step, e.i
 	in := core.Input{Demand: demand}
@@ -347,12 +329,10 @@ func (e *Engine) stepInto(demand float64, dec *TickDecision) (stepProbe, error) 
 	if sc.Supply != nil || supFrac < 1 {
 		in.SupplyLimit = units.Watts(supFrac) * e.p.tree.DCBreaker.Rated
 	}
-	*dec = e.p.ctl.TickInput(in, step)
-	tick := dec
+	tick := e.p.ctl.TickInput(in, step)
 	if e.obs != nil {
-		e.obs.ObserveTick(time.Duration(i)*step, *tick)
+		e.obs.ObserveTick(time.Duration(i)*step, tick)
 	}
-	upsSoC := e.p.tree.UPSSoC()
 	if len(e.required) == cap(e.required) {
 		e.growSeries()
 	}
@@ -363,7 +343,7 @@ func (e *Engine) stepInto(demand float64, dec *TickDecision) (stepProbe, error) 
 	e.pduLoad = append(e.pduLoad, float64(tick.PDULoad))
 	e.upsPower = append(e.upsPower, float64(tick.UPSPower))
 	e.genPower = append(e.genPower, float64(tick.GenPower))
-	e.upsSoC = append(e.upsSoC, upsSoC)
+	e.upsSoC = append(e.upsSoC, e.p.tree.UPSSoC())
 	e.coolPower = append(e.coolPower, float64(tick.CoolingPower))
 	e.tesRate = append(e.tesRate, float64(tick.TESHeatRate))
 	e.roomTemp = append(e.roomTemp, float64(tick.RoomTemp))
@@ -375,13 +355,7 @@ func (e *Engine) stepInto(demand float64, dec *TickDecision) (stepProbe, error) 
 		e.sprintSustained += step
 		e.excessServed += (tick.Delivered - 1) * step.Seconds()
 	}
-	stress := e.p.tree.DCBreaker.Accumulator()
-	for _, pdu := range e.p.tree.PDUs {
-		if acc := pdu.Breaker.Accumulator(); acc > stress {
-			stress = acc
-		}
-	}
-	if stress > e.maxStress {
+	if stress := e.breakerStress(); stress > e.maxStress {
 		e.maxStress = stress
 	}
 	if demand > 1 {
@@ -392,9 +366,9 @@ func (e *Engine) stepInto(demand float64, dec *TickDecision) (stepProbe, error) 
 	}
 	e.i = i + 1
 	if e.rec != nil {
-		e.recordPlant(i, *tick, stress, upsSoC)
+		e.recordPlant(i, tick)
 	}
-	return stepProbe{stress: stress, upsSoC: upsSoC}, nil
+	return tick, nil
 }
 
 // growSeries doubles the telemetry accumulators' capacity once a streaming
@@ -425,38 +399,61 @@ func (e *Engine) growSeries() {
 
 // recordPlant assembles and delivers one PlantSample. Kept out of Step so
 // the detached hot path pays only the nil check.
-func (e *Engine) recordPlant(i int, tick TickDecision, stress, upsSoC float64) {
+func (e *Engine) recordPlant(i int, tick TickDecision) {
 	s := PlantSample{
-		Tick:           i,
-		Now:            time.Duration(i) * e.step,
-		Demand:         tick.Demand,
-		Delivered:      tick.Delivered,
-		Degree:         tick.Degree,
-		Phase:          tick.Phase,
-		DCLoadW:        float64(tick.DCLoad),
-		PDULoadW:       float64(tick.PDULoad),
-		UPSPowerW:      float64(tick.UPSPower),
-		GenPowerW:      float64(tick.GenPower),
-		CoolPowerW:     float64(tick.CoolingPower),
-		TESRateW:       float64(tick.TESHeatRate),
-		GridDrawW:      float64(tick.DCLoad - tick.GenPower),
-		RoomTempC:      float64(tick.RoomTemp),
-		ThermalMarginC: e.p.room.Margin(),
-		BreakerStress:  stress,
-		UPSSoC:         upsSoC,
-		TESSoC:         -1,
-		ChipHeadroomJ:  -1,
+		Tick:       i,
+		Now:        time.Duration(i) * e.step,
+		Demand:     tick.Demand,
+		Delivered:  tick.Delivered,
+		Degree:     tick.Degree,
+		Phase:      tick.Phase,
+		DCLoadW:    float64(tick.DCLoad),
+		PDULoadW:   float64(tick.PDULoad),
+		UPSPowerW:  float64(tick.UPSPower),
+		GenPowerW:  float64(tick.GenPower),
+		CoolPowerW: float64(tick.CoolingPower),
+		TESRateW:   float64(tick.TESHeatRate),
+		GridDrawW:  float64(tick.DCLoad - tick.GenPower),
 	}
 	if s.GridDrawW < 0 {
 		s.GridDrawW = 0
 	}
+	e.ReadPlant(&s)
+	e.rec.RecordPlant(s)
+}
+
+// ReadPlant fills the plant-ledger fields of s — BreakerStress, UPSSoC,
+// TESSoC, RoomTempC, ThermalMarginC and ChipHeadroomJ — from the plant as
+// it stands now, and reports whether the facility is down. It is the one
+// reader behind both the per-tick PlantRecorder samples and on-demand
+// probes, so the two cannot disagree; between ticks it reads exactly what
+// the last recorded sample carried.
+func (e *Engine) ReadPlant(s *PlantSample) (dead bool) {
+	s.BreakerStress = e.breakerStress()
+	s.UPSSoC = e.p.tree.UPSSoC()
+	s.TESSoC = -1
 	if e.p.tank != nil {
 		s.TESSoC = e.p.tank.SoC()
 	}
+	s.RoomTempC = float64(e.p.room.Temperature())
+	s.ThermalMarginC = e.p.room.Margin()
+	s.ChipHeadroomJ = -1
 	if e.p.chip != nil {
 		s.ChipHeadroomJ = float64(e.p.chip.Headroom())
 	}
-	e.rec.RecordPlant(s)
+	return e.p.ctl.Dead()
+}
+
+// breakerStress is the worst thermal accumulator across the DC and PDU
+// breakers (1.0 trips).
+func (e *Engine) breakerStress() float64 {
+	stress := e.p.tree.DCBreaker.Accumulator()
+	for _, pdu := range e.p.tree.PDUs {
+		if acc := pdu.Breaker.Accumulator(); acc > stress {
+			stress = acc
+		}
+	}
+	return stress
 }
 
 // Finish seals the engine and assembles the Result covering every step so
