@@ -48,18 +48,20 @@ func OpenOracleCache(path string) (*OracleCache, error) { return campaign.OpenCa
 // the scenario is not memoizable (fault-injection campaigns).
 func ScenarioFingerprint(sc Scenario) (CampaignKey, bool) { return campaign.Fingerprint(sc) }
 
-// OracleSearchContext is OracleSearch on the campaign engine: cancellable,
-// parallel per opts, and memoized when opts.Cache is set. With default
-// options the outcome is bit-identical to sim.OracleSearch.
-func OracleSearchContext(ctx context.Context, opts CampaignOptions, sc Scenario) (*OracleResult, error) {
+// OracleSearch finds the optimal constant degree bound with perfect burst
+// knowledge (the paper's Oracle strategy) on the campaign engine:
+// cancellable, parallel per opts, and memoized when opts.Cache is set. With
+// default options the outcome is bit-identical to sim.OracleSearch.
+func OracleSearch(ctx context.Context, opts CampaignOptions, sc Scenario) (*OracleResult, error) {
 	return campaign.OracleSearch(ctx, opts, sc)
 }
 
-// BuildBoundTableContext is BuildBoundTable on the campaign engine: the grid
-// cells shard across the worker pool and each cell's search is memoized per
-// opts. With default options the table is bit-identical to
+// BuildBoundTable populates the Prediction strategy's lookup table by
+// Oracle-searching a grid of parametric bursts on the campaign engine: the
+// grid cells shard across the worker pool and each cell's search is memoized
+// per opts. With default options the table is bit-identical to
 // sim.BuildBoundTable's.
-func BuildBoundTableContext(ctx context.Context, opts CampaignOptions, base Scenario,
+func BuildBoundTable(ctx context.Context, opts CampaignOptions, base Scenario,
 	mk func(degree float64, d time.Duration) (*Series, error),
 	durations []time.Duration, degrees []float64) (*BoundTable, error) {
 	return campaign.BuildBoundTable(ctx, opts, base, mk, durations, degrees)

@@ -183,7 +183,7 @@ func run(args []string) error {
 	}
 	if *csvPath != "" {
 		if err := writeFile(*csvPath, func(w io.Writer) error {
-			return dcsprint.WriteRunCSV(w, res)
+			return res.WriteCSV(w)
 		}); err != nil {
 			return err
 		}

@@ -147,9 +147,11 @@ func run(args []string) error {
 		Ops:         ops,
 		Flight:      flight,
 		SlowStep:    *slowStep,
-	}.WithDurability(*stateDir, *snapEvery).WithPlant(plant, watchdog, 0)
+		Durability:  service.DurabilityOptions{StateDir: *stateDir, SnapshotEvery: *snapEvery},
+		Plant:       service.PlantOptions{Sink: plant, Watchdog: watchdog},
+	}
 	if host != nil {
-		cfg = cfg.WithTap(host)
+		cfg.Plant.Tap = host
 	}
 	mgr := service.NewManager(cfg)
 	if host != nil {

@@ -501,7 +501,7 @@ func chaos(seed int64) error {
 
 func fleetExp(int64) error {
 	header("E16 — fleet coordination: routed vs independent sprinting (8 DCs, hot DC 0, 6 seeds)")
-	cmp, err := dcsprint.FleetContext(context.Background(), campaignOpts, 6)
+	cmp, err := dcsprint.Fleet(context.Background(), campaignOpts, 6)
 	if err != nil {
 		return err
 	}

@@ -235,7 +235,7 @@ func Fig9(seed int64, errorPercents []float64) ([]Fig9Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	oracle, err := OracleSearch(Scenario{Name: "fig9-oracle", Trace: tr})
+	oracle, err := OracleSearch(context.Background(), CampaignOptions{}, Scenario{Name: "fig9-oracle", Trace: tr})
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +302,7 @@ func Fig10(seed int64, duration time.Duration, degrees []float64) ([]Fig10Row, e
 		if err != nil {
 			return Fig10Row{}, err
 		}
-		oracle, err := OracleSearch(Scenario{Trace: tr})
+		oracle, err := OracleSearch(context.Background(), CampaignOptions{}, Scenario{Trace: tr})
 		if err != nil {
 			return Fig10Row{}, err
 		}
@@ -694,7 +694,7 @@ func AdaptiveComparison(seed int64, durations []time.Duration) ([]AdaptiveRow, e
 		if err != nil {
 			return AdaptiveRow{}, err
 		}
-		oracle, err := OracleSearch(Scenario{Trace: tr})
+		oracle, err := OracleSearch(context.Background(), CampaignOptions{}, Scenario{Trace: tr})
 		if err != nil {
 			return AdaptiveRow{}, err
 		}
@@ -1322,14 +1322,14 @@ type FleetComparison struct {
 	Dominates bool
 }
 
-// FleetContext (E16) asks whether cross-DC sprint coordination strictly
+// Fleet (E16) asks whether cross-DC sprint coordination strictly
 // beats the paper's per-facility sprinting when bursts skew toward one
 // overloaded site. Each seed draws a fresh schedule over the E16 fleet and
 // runs it twice — once routed, once independent — and the aggregate
 // compares survival and fleet-wide stress extremes. The seeds fan out on
 // the campaign engine per opts; results are bit-identical at any worker
 // count because the moments accumulate from the seed-ordered sweep output.
-func FleetContext(ctx context.Context, opts CampaignOptions, seeds int) (*FleetComparison, error) {
+func Fleet(ctx context.Context, opts CampaignOptions, seeds int) (*FleetComparison, error) {
 	if seeds <= 0 {
 		return nil, fmt.Errorf("dcsprint: non-positive seed count %d", seeds)
 	}

@@ -96,7 +96,6 @@ var facadeFor = map[string]map[string]string{
 		"Telemetry":         "Telemetry",
 		"TickDecision":      "TickDecision",
 		"TraceMaker":        "TraceMaker",
-		"WriteRunCSV":       "WriteRunCSV",
 	},
 	"internal/workload": {
 		"Analyze":              "AnalyzeTrace",
@@ -126,14 +125,14 @@ var facadeFor = map[string]map[string]string{
 		"SweepPoint":    "TestbedSweepPoint",
 	},
 	"internal/campaign": {
-		"BuildBoundTable": "BuildBoundTableContext",
+		"BuildBoundTable": "BuildBoundTable",
 		"Cache":           "OracleCache",
 		"Fingerprint":     "ScenarioFingerprint",
 		"Key":             "CampaignKey",
 		"NewCache":        "NewOracleCache",
 		"OpenCache":       "OpenOracleCache",
 		"Options":         "CampaignOptions",
-		"OracleSearch":    "OracleSearchContext",
+		"OracleSearch":    "OracleSearch",
 		"Report":          "CampaignResult",
 		"Sweep":           "Sweep",
 	},

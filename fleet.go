@@ -6,14 +6,10 @@ package dcsprint
 // places replicas off the primary, and spills sprints from exhausted sites
 // to the sibling with the most headroom, charging ring-hop transfer latency
 // and cost. See DESIGN.md's "Fleet control plane" section, internal/fleet
-// for the engine, and FleetContext (E16) for the coordinated-vs-independent
+// for the engine, and Fleet (E16) for the coordinated-vs-independent
 // comparison.
 
-import (
-	"context"
-
-	"dcsprint/internal/fleet"
-)
+import "dcsprint/internal/fleet"
 
 type (
 	// FleetSpec sizes and seeds a fleet: DC count, replica degree, hot-DC
@@ -47,9 +43,3 @@ func NewFleet(spec FleetSpec) (*fleet.Fleet, error) { return fleet.New(spec) }
 // ParseFleetSpec parses the dcsprintd -fleet flag syntax
 // ("dcs=64,replicas=1,hot=0,cap=8,seed=1"); see fleet.ParseSpec.
 func ParseFleetSpec(s string) (FleetSpec, error) { return fleet.ParseSpec(s) }
-
-// Fleet runs FleetContext with a background context and default campaign
-// options; see FleetContext.
-func Fleet(seeds int) (*FleetComparison, error) {
-	return FleetContext(context.Background(), CampaignOptions{}, seeds)
-}

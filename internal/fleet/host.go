@@ -282,7 +282,7 @@ func (h *Host) CreateSession(spec service.ScenarioSpec) (*RoutedSession, error) 
 	spec.TESMinutes = profile.TESMinutes
 	spec.BatteryAh = profile.BatteryAh
 
-	sess, err := mgr.Create(spec)
+	sess, err := mgr.Create(spec, service.TraceContext{})
 	if err != nil {
 		h.mu.Lock()
 		h.dcs[serving].sessions--

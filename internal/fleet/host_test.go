@@ -29,7 +29,7 @@ func newTestHost(t *testing.T, spec Spec) (*Host, *service.Manager, *tsdb.Store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := service.NewManager(service.Config{Registry: reg}.WithTap(h))
+	mgr := service.NewManager(service.Config{Registry: reg, Plant: service.PlantOptions{Tap: h}})
 	h.AttachManager(mgr)
 	t.Cleanup(func() {
 		mgr.Close()
@@ -160,7 +160,7 @@ func TestHostDropFreesSlot(t *testing.T) {
 	if _, err := h.CreateSession(streamingSpec()); err == nil {
 		t.Fatal("second create fit a 1-slot fleet")
 	}
-	if _, err := mgr.Finish(rs.ID); err != nil {
+	if _, err := mgr.Finish(rs.ID, service.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.CreateSession(streamingSpec()); err != nil {
@@ -177,7 +177,7 @@ func TestHostProfileOverridesSpec(t *testing.T) {
 	}
 	// The session inherits the DC's facility: its snapshot spec carries the
 	// profile's servers.
-	doc, err := mgr.Snapshot(rs.ID)
+	doc, err := mgr.Snapshot(rs.ID, service.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}

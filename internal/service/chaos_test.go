@@ -32,7 +32,7 @@ func TestStreamFailoverThroughChaosProxy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(Config{}.WithDurability(t.TempDir(), 64))
+	m := NewManager(Config{Durability: DurabilityOptions{StateDir: t.TempDir(), SnapshotEvery: 64}})
 	defer m.Close()
 	srv := &http.Server{Handler: m.Handler()}
 	defer srv.Close()

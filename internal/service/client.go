@@ -519,28 +519,10 @@ func (c *Client) Resume(ctx context.Context, id string, lastAcked int64) (*Strea
 	return nil, fmt.Errorf("service: resume of %s gave up after %d attempts: %w", id, p.MaxAttempts, lastErr)
 }
 
-// LastReq returns the request id of the most recent Step attempt — the
-// breadcrumb to print next to a slow request so it can be found again in
+// LastReq returns the request id of the most recent StepContext attempt —
+// the breadcrumb to print next to a slow request so it can be found again in
 // the merged timeline and the daemon's flight recorder.
 func (s *Stream) LastReq() string { return s.lastRID }
-
-// Step sends one demand sample and waits for the tick's decision. A server
-// error line is returned as an *APIError with the line's code.
-//
-// Deprecated: use StepContext, which can abandon a stuck stream when its
-// context is canceled and retries 429 backpressure once. This form remains
-// for compatibility.
-func (s *Stream) Step(demand float64) (Decision, error) {
-	rid, start := s.c.nextReq(), time.Now()
-	s.lastRID = rid
-	d, err := s.stepRaw(demand, rid)
-	if err != nil {
-		s.c.span("step", s.session, rid, start, err.Error())
-		return Decision{}, err
-	}
-	s.c.span("step", s.session, rid, start, "")
-	return d, nil
-}
 
 func (s *Stream) stepRaw(demand float64, rid string) (Decision, error) {
 	seq := s.seq
@@ -563,11 +545,13 @@ func (s *Stream) stepRaw(demand float64, rid string) (Decision, error) {
 	return *line.Decision, nil
 }
 
-// stepOnce is one cancellable lockstep round trip. The stream protocol is a
-// blocking lockstep over one connection, so cancellation mid-step tears the
-// stream down (that is the only way to unblock the read) and returns the
-// context's error; the stream is unusable afterwards, but the session
-// survives for a new Stream, Snapshot or Finish.
+// stepOnce is one cancellable lockstep round trip under a fresh request id,
+// recorded as a client "step" span. A server error line is returned as an
+// *APIError with the line's code. The stream protocol is a blocking lockstep
+// over one connection, so cancellation mid-step tears the stream down (that
+// is the only way to unblock the read) and returns the context's error; the
+// stream is unusable afterwards, but the session survives for a new Stream,
+// Snapshot or Finish.
 func (s *Stream) stepOnce(ctx context.Context, demand float64) (Decision, error) {
 	if err := ctx.Err(); err != nil {
 		return Decision{}, err
@@ -577,17 +561,25 @@ func (s *Stream) stepOnce(ctx context.Context, demand float64) (Decision, error)
 		s.resp.Body.Close()
 	})
 	defer stop()
-	d, err := s.Step(demand)
+	rid, start := s.c.nextReq(), time.Now()
+	s.lastRID = rid
+	d, err := s.stepRaw(demand, rid)
+	detail := ""
+	if err != nil {
+		detail = err.Error()
+	}
+	s.c.span("step", s.session, rid, start, detail)
 	if cerr := ctx.Err(); cerr != nil {
 		return Decision{}, cerr
 	}
 	return d, err
 }
 
-// StepContext is Step with cancellation and budgeted backpressure retry
-// under the client's RetryPolicy: a 429 reply (full session mailbox) is
-// retried with exponential jittered backoff, honoring the server's
-// Retry-After hint, each retry counted in dcsprint_client_retries_total.
+// StepContext sends one demand sample and waits for the tick's decision,
+// with cancellation and budgeted backpressure retry under the client's
+// RetryPolicy: a 429 reply (full session mailbox) is retried with
+// exponential jittered backoff, honoring the server's Retry-After hint,
+// each retry counted in dcsprint_client_retries_total.
 // A 429 on the final attempt is returned to the caller, whose loop owns the
 // long-term policy. Other errors — including transport failures, which kill
 // the stream (Resume re-attaches) — return immediately. OpTimeout, when set,

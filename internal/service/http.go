@@ -147,7 +147,7 @@ func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s, err := m.CreateTraced(spec, tc)
+	s, err := m.Create(spec, tc)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -162,7 +162,7 @@ func (m *Manager) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s, err := m.RestoreTraced(doc, tc)
+	s, err := m.Restore(doc, tc)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -189,7 +189,7 @@ func (m *Manager) handleInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *Manager) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	doc, err := m.SnapshotTraced(r.PathValue("id"), traceFrom(w, r))
+	doc, err := m.Snapshot(r.PathValue("id"), traceFrom(w, r))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -198,7 +198,7 @@ func (m *Manager) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *Manager) handleFinish(w http.ResponseWriter, r *http.Request) {
-	res, err := m.FinishTraced(r.PathValue("id"), traceFrom(w, r))
+	res, err := m.Finish(r.PathValue("id"), traceFrom(w, r))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -256,7 +256,7 @@ func (m *Manager) handleSteps(w http.ResponseWriter, r *http.Request) {
 		if in.Seq != nil {
 			seq = *in.Seq
 		}
-		d, err := m.StepSeqTraced(id, seq, in.Demand, lineTC)
+		d, err := m.Step(id, seq, in.Demand, lineTC)
 		line.RID = lineTC.Req
 		if err != nil {
 			line.Err = err.Error()

@@ -50,12 +50,6 @@ type DurabilityOptions struct {
 	// session checkpoints and truncates the tick log. Zero means 256.
 	// Ignored without StateDir.
 	SnapshotEvery int
-	// DeltaChain is how many consecutive checkpoints are written as delta
-	// frames (a few percent of a full snapshot's bytes) before the session
-	// rewrites a full base snapshot. Zero means 16; negative disables delta
-	// checkpoints so every checkpoint is a full rewrite. Ignored without
-	// StateDir.
-	DeltaChain int
 }
 
 // PlantOptions groups the plant-observability knobs.
@@ -107,28 +101,6 @@ type Config struct {
 	Plant PlantOptions
 }
 
-// WithDurability returns a copy of c with the journaling knobs set — the
-// chainable constructor daemon flag plumbing uses instead of naming nested
-// struct fields.
-func (c Config) WithDurability(stateDir string, snapshotEvery int) Config {
-	c.Durability = DurabilityOptions{StateDir: stateDir, SnapshotEvery: snapshotEvery}
-	return c
-}
-
-// WithPlant returns a copy of c with the plant-observability knobs set,
-// preserving any tap already configured.
-func (c Config) WithPlant(sink *tsdb.PlantSink, watchdog *tsdb.Watchdog, every time.Duration) Config {
-	c.Plant.Sink, c.Plant.Watchdog, c.Plant.Every = sink, watchdog, every
-	return c
-}
-
-// WithTap returns a copy of c with the plant tap set, preserving the other
-// plant knobs.
-func (c Config) WithTap(tap PlantTap) Config {
-	c.Plant.Tap = tap
-	return c
-}
-
 func (c *Config) fill() {
 	if c.MaxSessions == 0 {
 		c.MaxSessions = 256
@@ -147,9 +119,6 @@ func (c *Config) fill() {
 	}
 	if c.Durability.SnapshotEvery <= 0 {
 		c.Durability.SnapshotEvery = 256
-	}
-	if c.Durability.DeltaChain == 0 {
-		c.Durability.DeltaChain = 16
 	}
 	if c.Plant.Every <= 0 {
 		c.Plant.Every = time.Second
@@ -753,15 +722,11 @@ func (m *Manager) openJournal(id string, spec ScenarioSpec, eng *sim.Engine, tc 
 	return nil, nil, nil
 }
 
-// Create opens a session from a scenario spec and returns its id.
-func (m *Manager) Create(spec ScenarioSpec) (*Session, error) {
-	return m.CreateTraced(spec, TraceContext{})
-}
-
-// CreateTraced is Create carrying wire trace context: the admission work is
-// recorded as a server span and a capacity rejection as a flight event, both
-// tagged with the caller's ids.
-func (m *Manager) CreateTraced(spec ScenarioSpec, tc TraceContext) (*Session, error) {
+// Create opens a session from a scenario spec and returns its id. The
+// admission work is recorded as a server span and a capacity rejection as a
+// flight event, both tagged with the caller's trace context (TraceContext{}
+// for an untraced call).
+func (m *Manager) Create(spec ScenarioSpec, tc TraceContext) (*Session, error) {
 	start := time.Now()
 	sc, err := spec.Build()
 	if err != nil {
@@ -787,16 +752,11 @@ func (m *Manager) CreateTraced(spec ScenarioSpec, tc TraceContext) (*Session, er
 
 // Restore opens a session from a snapshot document previously produced by
 // Snapshot: the spec rebuilds the plant, the snapshot bytes restore its
-// dynamic state.
-func (m *Manager) Restore(doc SnapshotDoc) (*Session, error) {
-	return m.RestoreTraced(doc, TraceContext{})
-}
-
-// RestoreTraced is Restore carrying wire trace context. Any restore failure
-// — a spec that no longer builds, a corrupt snapshot, the capacity cap — is
-// recorded as a flight event, since restore failures are what soak
-// post-mortems go looking for first.
-func (m *Manager) RestoreTraced(doc SnapshotDoc, tc TraceContext) (*Session, error) {
+// dynamic state. Any restore failure — a spec that no longer builds, a
+// corrupt snapshot, the capacity cap — is recorded as a flight event tagged
+// with tc, since restore failures are what soak post-mortems go looking for
+// first.
+func (m *Manager) Restore(doc SnapshotDoc, tc TraceContext) (*Session, error) {
 	start := time.Now()
 	sc, err := doc.Spec.Build()
 	if err != nil {
@@ -965,29 +925,20 @@ func (m *Manager) lookup(id string) (*session, error) {
 	return s, nil
 }
 
-// Step advances a session one tick.
-func (m *Manager) Step(id string, demand float64) (Decision, error) {
-	return m.StepTraced(id, demand, TraceContext{})
-}
-
-// StepTraced is Step carrying wire trace context: the queue wait and engine
-// step are recorded as server spans, the step latency gains the request id
-// as an exemplar, and backpressure/slow steps land in the flight recorder.
-func (m *Manager) StepTraced(id string, demand float64, tc TraceContext) (Decision, error) {
-	return m.StepSeqTraced(id, -1, demand, tc)
-}
-
-// StepSeqTraced is StepTraced with an idempotency sequence number: seq must
-// equal the session's next tick to apply, seq of the just-applied tick
-// returns its cached decision without re-stepping (the reconnect-after-lost-
-// ack case), and anything else is ErrStepSeq. seq < 0 skips the check — the
-// legacy unsequenced protocol.
-func (m *Manager) StepSeqTraced(id string, seq int64, demand float64, tc TraceContext) (Decision, error) {
+// Step advances a session one tick. seq is an idempotency sequence number:
+// it must equal the session's next tick to apply, seq of the just-applied
+// tick returns its cached decision without re-stepping (the reconnect-after-
+// lost-ack case), and anything else is ErrStepSeq; seq < 0 skips the check
+// (the unsequenced protocol). The queue wait and engine step are recorded as
+// server spans tagged with tc, the step latency gains tc's request id as an
+// exemplar, and backpressure/slow steps land in the flight recorder.
+func (m *Manager) Step(id string, seq int64, demand float64, tc TraceContext) (Decision, error) {
 	s, err := m.lookup(id)
 	if err != nil {
 		return Decision{}, err
 	}
-	return s.step(seq, demand, tc)
+	resp, err := s.do(request{op: opStep, seq: seq, demand: demand, tc: tc, reply: make(chan response, 1)})
+	return resp.dec, err
 }
 
 // Info summarizes one live session, or ErrNotFound.
@@ -1005,39 +956,32 @@ func (m *Manager) Info(id string) (SessionInfo, error) {
 	return info, nil
 }
 
-// Snapshot checkpoints a session into a portable document.
-func (m *Manager) Snapshot(id string) (SnapshotDoc, error) {
-	return m.SnapshotTraced(id, TraceContext{})
-}
-
-// SnapshotTraced is Snapshot carrying wire trace context.
-func (m *Manager) SnapshotTraced(id string, tc TraceContext) (SnapshotDoc, error) {
+// Snapshot checkpoints a session into a portable document; tc tags its
+// server span and any backpressure flight event.
+func (m *Manager) Snapshot(id string, tc TraceContext) (SnapshotDoc, error) {
 	s, err := m.lookup(id)
 	if err != nil {
 		return SnapshotDoc{}, err
 	}
-	return s.snapshot(tc)
+	resp, err := s.do(request{op: opSnapshot, tc: tc, reply: make(chan response, 1)})
+	return resp.doc, err
 }
 
-// Finish seals a session, removes it, and returns its Result.
-func (m *Manager) Finish(id string) (*sim.Result, error) {
-	return m.FinishTraced(id, TraceContext{})
-}
-
-// FinishTraced is Finish carrying wire trace context.
-func (m *Manager) FinishTraced(id string, tc TraceContext) (*sim.Result, error) {
+// Finish seals a session, removes it, and returns its Result; tc tags its
+// server span and any backpressure flight event.
+func (m *Manager) Finish(id string, tc TraceContext) (*sim.Result, error) {
 	s, err := m.lookup(id)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	res, err := s.finish()
+	resp, err := s.do(request{op: opFinish, tc: tc, reply: make(chan response, 1)})
 	if err != nil {
 		return nil, err
 	}
 	m.opSpan("finish", id, tc, start, "")
 	m.metrics.finished.Inc()
-	return res, nil
+	return resp.res, nil
 }
 
 // SessionInfo summarizes one live session for listings.

@@ -46,12 +46,13 @@ func TestManagerPlantPipeline(t *testing.T) {
 	m := NewManager(Config{
 		Registry: reg,
 		Flight:   flight,
-	}.WithPlant(sink, wd, 5*time.Millisecond))
+		Plant:    PlantOptions{Sink: sink, Watchdog: wd, Every: 5 * time.Millisecond},
+	})
 	defer m.Close()
 
 	ids := make([]string, 2)
 	for i := range ids {
-		s, err := m.Create(ScenarioSpec{})
+		s, err := m.Create(ScenarioSpec{}, TraceContext{})
 		if err != nil {
 			t.Fatalf("Create: %v", err)
 		}
@@ -60,7 +61,7 @@ func TestManagerPlantPipeline(t *testing.T) {
 	// Sprint both sessions so degree > 1 reaches the fleet fold.
 	for tick := 0; tick < 40; tick++ {
 		for _, id := range ids {
-			if _, err := m.Step(id, 3.0); err != nil {
+			if _, err := m.Step(id, -1, 3.0, TraceContext{}); err != nil {
 				t.Fatalf("Step: %v", err)
 			}
 		}
@@ -82,7 +83,7 @@ func TestManagerPlantPipeline(t *testing.T) {
 	})
 
 	for _, id := range ids {
-		if _, err := m.Finish(id); err != nil {
+		if _, err := m.Finish(id, TraceContext{}); err != nil {
 			t.Fatalf("Finish: %v", err)
 		}
 	}
@@ -116,11 +117,11 @@ func TestManagerPlantPipeline(t *testing.T) {
 func TestShardWorkerLabels(t *testing.T) {
 	m := NewManager(Config{})
 	defer m.Close()
-	s, err := m.Create(ScenarioSpec{})
+	s, err := m.Create(ScenarioSpec{}, TraceContext{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if _, err := m.Step(s.ID, 1.0); err != nil {
+	if _, err := m.Step(s.ID, -1, 1.0, TraceContext{}); err != nil {
 		t.Fatalf("Step: %v", err)
 	}
 	// A worker goroutine that has not been scheduled yet carries no labels,
@@ -150,7 +151,7 @@ func TestShardWorkerLabels(t *testing.T) {
 func TestManagerProbes(t *testing.T) {
 	store := tsdb.New(tsdb.Options{})
 	sink := tsdb.NewPlantSink(store, tsdb.SinkOptions{})
-	m := NewManager(Config{}.WithPlant(sink, nil, time.Hour))
+	m := NewManager(Config{Plant: PlantOptions{Sink: sink, Every: time.Hour}})
 	defer m.Close()
 
 	specs := []ScenarioSpec{yahooSpec("probe"), yahooSpec("probe-chip"), yahooSpec("probe-notes")}
@@ -158,7 +159,7 @@ func TestManagerProbes(t *testing.T) {
 	specs[2].NoTES = true
 	ids := make([]string, len(specs))
 	for i, spec := range specs {
-		s, err := m.Create(spec)
+		s, err := m.Create(spec, TraceContext{})
 		if err != nil {
 			t.Fatalf("Create: %v", err)
 		}
@@ -221,7 +222,7 @@ func TestManagerProbes(t *testing.T) {
 	for tick := 0; tick < sc.Trace.Len(); tick++ {
 		for i, id := range ids {
 			var err error
-			if decs[i], err = m.Step(id, sc.Trace.Samples[tick]); err != nil {
+			if decs[i], err = m.Step(id, -1, sc.Trace.Samples[tick], TraceContext{}); err != nil {
 				t.Fatalf("Step: %v", err)
 			}
 		}
@@ -244,11 +245,11 @@ func TestManagerProbes(t *testing.T) {
 		}
 		if !restoredChecked && decs[0].Phase == 2 {
 			restoredChecked = true
-			doc, err := m.Snapshot(ids[0])
+			doc, err := m.Snapshot(ids[0], TraceContext{})
 			if err != nil {
 				t.Fatalf("Snapshot: %v", err)
 			}
-			restored, err := m.Restore(doc)
+			restored, err := m.Restore(doc, TraceContext{})
 			if err != nil {
 				t.Fatalf("Restore: %v", err)
 			}
@@ -264,7 +265,7 @@ func TestManagerProbes(t *testing.T) {
 				p.Sample.Phase != 0 || p.Sample.DCLoadW != 0 {
 				t.Fatalf("restored probe carries workload fields before its first step: %+v", p.Sample)
 			}
-			if _, err := m.Finish(restored.ID); err != nil {
+			if _, err := m.Finish(restored.ID, TraceContext{}); err != nil {
 				t.Fatalf("Finish restored: %v", err)
 			}
 		}

@@ -32,14 +32,14 @@ func TestRecoverBitIdentical(t *testing.T) {
 
 	// First life: step partway through, then die. SnapshotEvery well below
 	// the cut so recovery exercises both the re-checkpoint and the replay.
-	m1 := NewManager(Config{}.WithDurability(dir, 64))
-	s, err := m1.Create(yahooSpec("rec"))
+	m1 := NewManager(Config{Durability: DurabilityOptions{StateDir: dir, SnapshotEvery: 64}})
+	s, err := m1.Create(yahooSpec("rec"), TraceContext{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	cut := 100
 	for i := 0; i < cut; i++ {
-		if _, err := m1.Step(s.ID, sc.Trace.Samples[i]); err != nil {
+		if _, err := m1.Step(s.ID, -1, sc.Trace.Samples[i], TraceContext{}); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
@@ -59,7 +59,7 @@ func TestRecoverBitIdentical(t *testing.T) {
 
 	// Second life.
 	flight := telemetry.NewFlightRecorder(NumShards, 16)
-	m2 := NewManager(Config{Flight: flight}.WithDurability(dir, 64))
+	m2 := NewManager(Config{Flight: flight, Durability: DurabilityOptions{StateDir: dir, SnapshotEvery: 64}})
 	defer m2.Close()
 	n, err := m2.Recover()
 	if err != nil || n != 1 {
@@ -73,11 +73,11 @@ func TestRecoverBitIdentical(t *testing.T) {
 		t.Fatalf("recovered at tick %d, want %d", info.Tick, cut)
 	}
 	for i := cut; i < sc.Trace.Len(); i++ {
-		if _, err := m2.Step(s.ID, sc.Trace.Samples[i]); err != nil {
+		if _, err := m2.Step(s.ID, -1, sc.Trace.Samples[i], TraceContext{}); err != nil {
 			t.Fatalf("post-recovery step %d: %v", i, err)
 		}
 	}
-	got, err := m2.Finish(s.ID)
+	got, err := m2.Finish(s.ID, TraceContext{})
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
@@ -111,14 +111,14 @@ func TestRecoverDeltaChainFastForward(t *testing.T) {
 
 	// SnapshotEvery 8 with the default 16-frame chain: checkpoints at ticks
 	// 8..48 are all deltas against the tick-0 base.
-	m1 := NewManager(Config{}.WithDurability(dir, 8))
-	s, err := m1.Create(yahooSpec("dchain"))
+	m1 := NewManager(Config{Durability: DurabilityOptions{StateDir: dir, SnapshotEvery: 8}})
+	s, err := m1.Create(yahooSpec("dchain"), TraceContext{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	cut := 50
 	for i := 0; i < cut; i++ {
-		if _, err := m1.Step(s.ID, sc.Trace.Samples[i]); err != nil {
+		if _, err := m1.Step(s.ID, -1, sc.Trace.Samples[i], TraceContext{}); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
@@ -134,7 +134,7 @@ func TestRecoverDeltaChainFastForward(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	m2 := NewManager(Config{Registry: reg}.WithDurability(dir, 8))
+	m2 := NewManager(Config{Registry: reg, Durability: DurabilityOptions{StateDir: dir, SnapshotEvery: 8}})
 	defer m2.Close()
 	if n, err := m2.Recover(); err != nil || n != 1 {
 		t.Fatalf("Recover = %d, %v", n, err)
@@ -147,11 +147,11 @@ func TestRecoverDeltaChainFastForward(t *testing.T) {
 		t.Fatalf("replayed %v steps, want 2 (chain should cover the rest)", got)
 	}
 	for i := cut; i < sc.Trace.Len(); i++ {
-		if _, err := m2.Step(s.ID, sc.Trace.Samples[i]); err != nil {
+		if _, err := m2.Step(s.ID, -1, sc.Trace.Samples[i], TraceContext{}); err != nil {
 			t.Fatalf("post-recovery step %d: %v", i, err)
 		}
 	}
-	got, err := m2.Finish(s.ID)
+	got, err := m2.Finish(s.ID, TraceContext{})
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
@@ -166,14 +166,14 @@ func TestRecoverDeltaChainFastForward(t *testing.T) {
 func TestRecoverTornDeltaQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	sc := yahooScenario(t, "dtorn")
-	m1 := NewManager(Config{}.WithDurability(dir, 8))
-	s, err := m1.Create(yahooSpec("dtorn"))
+	m1 := NewManager(Config{Durability: DurabilityOptions{StateDir: dir, SnapshotEvery: 8}})
+	s, err := m1.Create(yahooSpec("dtorn"), TraceContext{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	cut := 50
 	for i := 0; i < cut; i++ {
-		if _, err := m1.Step(s.ID, sc.Trace.Samples[i]); err != nil {
+		if _, err := m1.Step(s.ID, -1, sc.Trace.Samples[i], TraceContext{}); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
@@ -183,7 +183,7 @@ func TestRecoverTornDeltaQuarantine(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	m2 := NewManager(Config{Registry: reg}.WithDurability(dir, 8))
+	m2 := NewManager(Config{Registry: reg, Durability: DurabilityOptions{StateDir: dir, SnapshotEvery: 8}})
 	defer m2.Close()
 	if n, err := m2.Recover(); err != nil || n != 1 {
 		t.Fatalf("Recover = %d, %v", n, err)
@@ -207,12 +207,12 @@ func TestRecoverTornDeltaQuarantine(t *testing.T) {
 // aside (not retried forever, not fatal to healthy neighbors).
 func TestRecoverQuarantinesCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	m1 := NewManager(Config{}.WithDurability(dir, 0))
-	good, err := m1.Create(yahooSpec("good"))
+	m1 := NewManager(Config{Durability: DurabilityOptions{StateDir: dir}})
+	good, err := m1.Create(yahooSpec("good"), TraceContext{})
 	if err != nil {
 		t.Fatalf("Create good: %v", err)
 	}
-	bad, err := m1.Create(yahooSpec("bad"))
+	bad, err := m1.Create(yahooSpec("bad"), TraceContext{})
 	if err != nil {
 		t.Fatalf("Create bad: %v", err)
 	}
@@ -221,7 +221,7 @@ func TestRecoverQuarantinesCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2 := NewManager(Config{}.WithDurability(dir, 0))
+	m2 := NewManager(Config{Durability: DurabilityOptions{StateDir: dir}})
 	defer m2.Close()
 	n, err := m2.Recover()
 	if n != 1 || err == nil {
@@ -244,17 +244,17 @@ func TestRecoverQuarantinesCorrupt(t *testing.T) {
 func TestStepIdempotency(t *testing.T) {
 	m := NewManager(Config{})
 	defer m.Close()
-	s, err := m.Create(ScenarioSpec{}) // unbounded streaming session
+	s, err := m.Create(ScenarioSpec{}, TraceContext{}) // unbounded streaming session
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 
-	d0, err := m.StepSeqTraced(s.ID, 0, 1.5, TraceContext{})
+	d0, err := m.Step(s.ID, 0, 1.5, TraceContext{})
 	if err != nil || d0.Tick != 0 {
 		t.Fatalf("seq 0: %+v, %v", d0, err)
 	}
 	// Re-sent ack-lost step: cached decision, engine does not advance.
-	d0b, err := m.StepSeqTraced(s.ID, 0, 9.9, TraceContext{})
+	d0b, err := m.Step(s.ID, 0, 9.9, TraceContext{})
 	if err != nil {
 		t.Fatalf("replayed seq 0: %v", err)
 	}
@@ -265,17 +265,17 @@ func TestStepIdempotency(t *testing.T) {
 		t.Fatalf("replay advanced the engine to tick %d", info.Tick)
 	}
 	// A gap can neither skip ahead nor rewind further back.
-	if _, err := m.StepSeqTraced(s.ID, 5, 1.0, TraceContext{}); !errors.Is(err, ErrStepSeq) {
+	if _, err := m.Step(s.ID, 5, 1.0, TraceContext{}); !errors.Is(err, ErrStepSeq) {
 		t.Fatalf("seq gap: err = %v, want ErrStepSeq", err)
 	}
 	// Negative seq is the legacy unsequenced path and must apply.
-	if _, err := m.StepSeqTraced(s.ID, -1, 1.0, TraceContext{}); err != nil {
+	if _, err := m.Step(s.ID, -1, 1.0, TraceContext{}); err != nil {
 		t.Fatalf("legacy step: %v", err)
 	}
-	if d2, err := m.StepSeqTraced(s.ID, 2, 1.0, TraceContext{}); err != nil || d2.Tick != 2 {
+	if d2, err := m.Step(s.ID, 2, 1.0, TraceContext{}); err != nil || d2.Tick != 2 {
 		t.Fatalf("seq 2 after legacy: %+v, %v", d2, err)
 	}
-	if _, err := m.Finish(s.ID); err != nil {
+	if _, err := m.Finish(s.ID, TraceContext{}); err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
 }
@@ -284,23 +284,23 @@ func TestStepIdempotency(t *testing.T) {
 // of new Creates — the restart-under-load case — under the race detector.
 func TestRecoverRacesAdmission(t *testing.T) {
 	dir := t.TempDir()
-	m1 := NewManager(Config{}.WithDurability(dir, 0))
+	m1 := NewManager(Config{Durability: DurabilityOptions{StateDir: dir}})
 	const journaled = 6
 	spec := ScenarioSpec{Trace: &TraceSpec{Kind: "constant", DurationSeconds: 30, Value: 2}}
 	for i := 0; i < journaled; i++ {
-		s, err := m1.Create(spec)
+		s, err := m1.Create(spec, TraceContext{})
 		if err != nil {
 			t.Fatalf("Create %d: %v", i, err)
 		}
 		for k := 0; k < 3; k++ {
-			if _, err := m1.Step(s.ID, 2); err != nil {
+			if _, err := m1.Step(s.ID, -1, 2, TraceContext{}); err != nil {
 				t.Fatalf("step: %v", err)
 			}
 		}
 	}
 	m1.Close()
 
-	m2 := NewManager(Config{}.WithDurability(dir, 0))
+	m2 := NewManager(Config{Durability: DurabilityOptions{StateDir: dir}})
 	defer m2.Close()
 	const admitted = 8
 	var wg sync.WaitGroup
@@ -319,12 +319,12 @@ func TestRecoverRacesAdmission(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s, err := m2.Create(spec)
+			s, err := m2.Create(spec, TraceContext{})
 			if err != nil {
 				errs <- fmt.Errorf("concurrent Create: %w", err)
 				return
 			}
-			if _, err := m2.Step(s.ID, 2); err != nil {
+			if _, err := m2.Step(s.ID, -1, 2, TraceContext{}); err != nil {
 				errs <- fmt.Errorf("concurrent Step: %w", err)
 			}
 		}()
@@ -356,7 +356,7 @@ func TestHTTPResumeAfterDaemonRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	m1 := NewManager(Config{}.WithDurability(dir, 64))
+	m1 := NewManager(Config{Durability: DurabilityOptions{StateDir: dir, SnapshotEvery: 64}})
 	srv1 := &http.Server{Handler: m1.Handler()}
 	go srv1.Serve(ln) //nolint:errcheck
 
@@ -384,7 +384,7 @@ func TestHTTPResumeAfterDaemonRestart(t *testing.T) {
 	m1.Close()
 
 	// The restart on the same address.
-	m2 := NewManager(Config{}.WithDurability(dir, 64))
+	m2 := NewManager(Config{Durability: DurabilityOptions{StateDir: dir, SnapshotEvery: 64}})
 	defer m2.Close()
 	if n, err := m2.Recover(); err != nil || n != 1 {
 		t.Fatalf("Recover = %d, %v", n, err)

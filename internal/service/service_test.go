@@ -41,12 +41,12 @@ func TestManagerStreamEqualsBatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	s, err := m.Create(yahooSpec("stream-vs-batch"))
+	s, err := m.Create(yahooSpec("stream-vs-batch"), TraceContext{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	for i, demand := range sc.Trace.Samples {
-		dec, err := m.Step(s.ID, demand)
+		dec, err := m.Step(s.ID, -1, demand, TraceContext{})
 		if err != nil {
 			t.Fatalf("Step %d: %v", i, err)
 		}
@@ -54,14 +54,14 @@ func TestManagerStreamEqualsBatch(t *testing.T) {
 			t.Fatalf("decision tick %d, want %d", dec.Tick, i)
 		}
 	}
-	got, err := m.Finish(s.ID)
+	got, err := m.Finish(s.ID, TraceContext{})
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
 	if !reflect.DeepEqual(NewResultView(got), NewResultView(want)) {
 		t.Fatal("streamed Result differs from batch Result")
 	}
-	if _, err := m.Step(s.ID, 1); !errors.Is(err, ErrNotFound) {
+	if _, err := m.Step(s.ID, -1, 1, TraceContext{}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("step after finish: err = %v, want ErrNotFound", err)
 	}
 }
@@ -95,7 +95,7 @@ func TestHTTPStreamEqualsBatch(t *testing.T) {
 		t.Fatalf("Stream: %v", err)
 	}
 	for i, demand := range sc.Trace.Samples {
-		dec, err := st.Step(demand)
+		dec, err := st.StepContext(ctx, demand)
 		if err != nil {
 			t.Fatalf("stream step %d: %v", i, err)
 		}
@@ -144,7 +144,7 @@ func TestHTTPSnapshotRestoreMidPhase2(t *testing.T) {
 	cut := -1
 	inPhase2 := 0
 	for i, demand := range sc.Trace.Samples {
-		dec, err := st.Step(demand)
+		dec, err := st.StepContext(ctx, demand)
 		if err != nil {
 			t.Fatalf("stream step %d: %v", i, err)
 		}
@@ -179,7 +179,7 @@ func TestHTTPSnapshotRestoreMidPhase2(t *testing.T) {
 		t.Fatalf("Stream restored: %v", err)
 	}
 	for i := cut; i < sc.Trace.Len(); i++ {
-		if _, err := rst.Step(sc.Trace.Samples[i]); err != nil {
+		if _, err := rst.StepContext(ctx, sc.Trace.Samples[i]); err != nil {
 			t.Fatalf("restored step %d: %v", i, err)
 		}
 	}
@@ -200,7 +200,7 @@ func TestHTTPSnapshotRestoreMidPhase2(t *testing.T) {
 		t.Fatalf("Stream original: %v", err)
 	}
 	for i := cut; i < sc.Trace.Len(); i++ {
-		if _, err := orig.Step(sc.Trace.Samples[i]); err != nil {
+		if _, err := orig.StepContext(ctx, sc.Trace.Samples[i]); err != nil {
 			t.Fatalf("original step %d: %v", i, err)
 		}
 	}
@@ -220,20 +220,20 @@ func TestSessionCapacity(t *testing.T) {
 	m := NewManager(Config{MaxSessions: 2})
 	defer m.Close()
 	spec := ScenarioSpec{} // streaming session
-	if _, err := m.Create(spec); err != nil {
+	if _, err := m.Create(spec, TraceContext{}); err != nil {
 		t.Fatalf("Create 1: %v", err)
 	}
-	s2, err := m.Create(spec)
+	s2, err := m.Create(spec, TraceContext{})
 	if err != nil {
 		t.Fatalf("Create 2: %v", err)
 	}
-	if _, err := m.Create(spec); !errors.Is(err, ErrAtCapacity) {
+	if _, err := m.Create(spec, TraceContext{}); !errors.Is(err, ErrAtCapacity) {
 		t.Fatalf("Create 3: err = %v, want ErrAtCapacity", err)
 	}
-	if _, err := m.Finish(s2.ID); err != nil {
+	if _, err := m.Finish(s2.ID, TraceContext{}); err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	if _, err := m.Create(spec); err != nil {
+	if _, err := m.Create(spec, TraceContext{}); err != nil {
 		t.Fatalf("Create after finish: %v", err)
 	}
 }
@@ -248,7 +248,7 @@ func TestBackpressure(t *testing.T) {
 	// worker never drains anything out from under the test.
 	s := &session{id: "full", mgr: m, sh: m.shardOf("full")}
 	s.queued.Store(int32(m.cfg.QueueDepth))
-	if _, err := s.step(-1, 1.0, TraceContext{}); !errors.Is(err, ErrBusy) {
+	if _, err := s.do(request{op: opStep, seq: -1, demand: 1.0, reply: make(chan response, 1)}); !errors.Is(err, ErrBusy) {
 		t.Fatalf("step into full session queue: err = %v, want ErrBusy", err)
 	}
 	if m.metrics.backpressure.Value() == 0 {
@@ -258,7 +258,7 @@ func TestBackpressure(t *testing.T) {
 	// Concurrency hammer: many callers against one live session. Busy
 	// replies are allowed (that is the point of the bounded queue); anything
 	// else is a bug. Exercises the mailbox under the race detector.
-	live, err := m.Create(ScenarioSpec{})
+	live, err := m.Create(ScenarioSpec{}, TraceContext{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -268,7 +268,7 @@ func TestBackpressure(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, err := m.Step(live.ID, 1.0); err != nil && !errors.Is(err, ErrBusy) {
+				if _, err := m.Step(live.ID, -1, 1.0, TraceContext{}); err != nil && !errors.Is(err, ErrBusy) {
 					t.Errorf("Step: %v", err)
 					return
 				}
@@ -281,7 +281,7 @@ func TestBackpressure(t *testing.T) {
 func TestIdleEviction(t *testing.T) {
 	m := NewManager(Config{IdleTTL: 50 * time.Millisecond})
 	defer m.Close()
-	s, err := m.Create(ScenarioSpec{})
+	s, err := m.Create(ScenarioSpec{}, TraceContext{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -294,7 +294,7 @@ func TestIdleEviction(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	if _, err := m.Step(s.ID, 1.0); !errors.Is(err, ErrNotFound) {
+	if _, err := m.Step(s.ID, -1, 1.0, TraceContext{}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("step after eviction: err = %v, want ErrNotFound", err)
 	}
 	if m.metrics.evicted.Value() == 0 {
@@ -304,20 +304,20 @@ func TestIdleEviction(t *testing.T) {
 
 func TestDrainOnShutdown(t *testing.T) {
 	m := NewManager(Config{})
-	s, err := m.Create(ScenarioSpec{})
+	s, err := m.Create(ScenarioSpec{}, TraceContext{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := m.Step(s.ID, 1.2); err != nil {
+		if _, err := m.Step(s.ID, -1, 1.2, TraceContext{}); err != nil {
 			t.Fatalf("Step: %v", err)
 		}
 	}
 	m.Close() // must not hang, must stop the session goroutine
-	if _, err := m.Step(s.ID, 1.0); !errors.Is(err, ErrNotFound) {
+	if _, err := m.Step(s.ID, -1, 1.0, TraceContext{}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("step after shutdown: err = %v, want ErrNotFound", err)
 	}
-	if _, err := m.Create(ScenarioSpec{}); !errors.Is(err, ErrClosed) {
+	if _, err := m.Create(ScenarioSpec{}, TraceContext{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("create after shutdown: err = %v, want ErrClosed", err)
 	}
 	m.Close() // idempotent
@@ -327,19 +327,19 @@ func TestTraceExhausted(t *testing.T) {
 	m := NewManager(Config{})
 	defer m.Close()
 	spec := ScenarioSpec{Trace: &TraceSpec{Kind: "samples", Samples: []float64{1, 1.5, 1}}}
-	s, err := m.Create(spec)
+	s, err := m.Create(spec, TraceContext{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := m.Step(s.ID, 1.0); err != nil {
+		if _, err := m.Step(s.ID, -1, 1.0, TraceContext{}); err != nil {
 			t.Fatalf("Step %d: %v", i, err)
 		}
 	}
-	if _, err := m.Step(s.ID, 1.0); !errors.Is(err, ErrTraceExhausted) {
+	if _, err := m.Step(s.ID, -1, 1.0, TraceContext{}); !errors.Is(err, ErrTraceExhausted) {
 		t.Fatalf("step past trace: err = %v, want ErrTraceExhausted", err)
 	}
-	if _, err := m.Finish(s.ID); err != nil {
+	if _, err := m.Finish(s.ID, TraceContext{}); err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
 }
@@ -361,7 +361,7 @@ func TestSpecValidation(t *testing.T) {
 	}
 	m := NewManager(Config{})
 	defer m.Close()
-	if _, err := m.Create(ScenarioSpec{Trace: &TraceSpec{Kind: "nope"}}); err == nil {
+	if _, err := m.Create(ScenarioSpec{Trace: &TraceSpec{Kind: "nope"}}, TraceContext{}); err == nil {
 		t.Error("Create accepted an invalid spec")
 	}
 	if m.metrics.active.Value() != 0 {
@@ -375,7 +375,7 @@ func TestListSessions(t *testing.T) {
 	if got := m.List(); len(got) != 0 {
 		t.Fatalf("fresh manager lists %d sessions", len(got))
 	}
-	s, err := m.Create(yahooSpec("listed"))
+	s, err := m.Create(yahooSpec("listed"), TraceContext{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -399,14 +399,14 @@ func TestStrategySpecsRun(t *testing.T) {
 	for _, k := range kinds {
 		k := k
 		spec := ScenarioSpec{Strategy: &k}
-		s, err := m.Create(spec)
+		s, err := m.Create(spec, TraceContext{})
 		if err != nil {
 			t.Fatalf("%s: Create: %v", k.Kind, err)
 		}
-		if _, err := m.Step(s.ID, 2.0); err != nil {
+		if _, err := m.Step(s.ID, -1, 2.0, TraceContext{}); err != nil {
 			t.Fatalf("%s: Step: %v", k.Kind, err)
 		}
-		if _, err := m.Finish(s.ID); err != nil {
+		if _, err := m.Finish(s.ID, TraceContext{}); err != nil {
 			t.Fatalf("%s: Finish: %v", k.Kind, err)
 		}
 	}
@@ -418,14 +418,14 @@ func TestStrategySpecsRun(t *testing.T) {
 func BenchmarkServiceSession(b *testing.B) {
 	m := NewManager(Config{})
 	defer m.Close()
-	s, err := m.Create(ScenarioSpec{})
+	s, err := m.Create(ScenarioSpec{}, TraceContext{})
 	if err != nil {
 		b.Fatalf("Create: %v", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Step(s.ID, 1.5); err != nil {
+		if _, err := m.Step(s.ID, -1, 1.5, TraceContext{}); err != nil {
 			b.Fatalf("Step: %v", err)
 		}
 	}
@@ -441,20 +441,20 @@ func BenchmarkServiceSession(b *testing.B) {
 func BenchmarkServiceSessionIdle(b *testing.B) {
 	const idle = 1024 * NumShards
 	timeSteps := func(m *Manager, n int) time.Duration {
-		s, err := m.Create(ScenarioSpec{})
+		s, err := m.Create(ScenarioSpec{}, TraceContext{})
 		if err != nil {
 			b.Fatalf("Create: %v", err)
 		}
 		// Warm past the one-time burst-start event formatting.
 		for i := 0; i < 16; i++ {
-			if _, err := m.Step(s.ID, 1.5); err != nil {
+			if _, err := m.Step(s.ID, -1, 1.5, TraceContext{}); err != nil {
 				b.Fatalf("Step: %v", err)
 			}
 		}
 		b.StartTimer()
 		start := time.Now()
 		for i := 0; i < n; i++ {
-			if _, err := m.Step(s.ID, 1.5); err != nil {
+			if _, err := m.Step(s.ID, -1, 1.5, TraceContext{}); err != nil {
 				b.Fatalf("Step: %v", err)
 			}
 		}
@@ -471,11 +471,11 @@ func BenchmarkServiceSessionIdle(b *testing.B) {
 	defer m.Close()
 	spec := ScenarioSpec{Trace: &TraceSpec{Kind: "samples", Samples: []float64{0.6, 0.6, 0.6, 0.6}}}
 	for i := 0; i < idle; i++ {
-		s, err := m.Create(spec)
+		s, err := m.Create(spec, TraceContext{})
 		if err != nil {
 			b.Fatalf("Create idle %d: %v", i, err)
 		}
-		if _, err := m.Step(s.ID, 0.6); err != nil {
+		if _, err := m.Step(s.ID, -1, 0.6, TraceContext{}); err != nil {
 			b.Fatalf("Step idle %d: %v", i, err)
 		}
 	}

@@ -109,7 +109,7 @@ type session struct {
 	// costs only a delta's worth of disk.
 	base []byte
 	// chain counts delta checkpoints appended since base was last a full
-	// rewrite; at Durability.DeltaChain the next checkpoint is a full base.
+	// rewrite; at deltaChain the next checkpoint is a full base.
 	chain    int
 	lastDec  Decision // decision of the most recently applied tick
 	haveLast bool
@@ -164,21 +164,6 @@ func (s *session) do(req request) (response, error) {
 	}
 }
 
-func (s *session) step(seq int64, demand float64, tc TraceContext) (Decision, error) {
-	resp, err := s.do(request{op: opStep, seq: seq, demand: demand, tc: tc, reply: make(chan response, 1)})
-	return resp.dec, err
-}
-
-func (s *session) snapshot(tc TraceContext) (SnapshotDoc, error) {
-	resp, err := s.do(request{op: opSnapshot, tc: tc, reply: make(chan response, 1)})
-	return resp.doc, err
-}
-
-func (s *session) finish() (*sim.Result, error) {
-	resp, err := s.do(request{op: opFinish, reply: make(chan response, 1)})
-	return resp.res, err
-}
-
 // closeJournal detaches the journal: removed when the session is gone for
 // good (finished or evicted), closed but kept on disk otherwise. Worker
 // goroutine only.
@@ -219,6 +204,11 @@ func (s *session) journalStep(tick int, demand float64) {
 	s.jn = nil
 }
 
+// deltaChain is how many consecutive checkpoints are written as delta frames
+// (a few percent of a full snapshot's bytes) before the session rewrites a
+// full base snapshot, bounding recovery's fold to deltaChain frames.
+const deltaChain = 16
+
 // checkpoint writes the session's next checkpoint: a delta frame keyed
 // against the in-memory base while the chain has room, a full base rewrite
 // (which truncates both the tick log and the chain) otherwise. A delta that
@@ -226,7 +216,7 @@ func (s *session) journalStep(tick int, demand float64) {
 // diverged — falls through to a full rewrite rather than failing the
 // checkpoint. Worker goroutine only.
 func (s *session) checkpoint() error {
-	if n := s.mgr.cfg.Durability.DeltaChain; n > 0 && s.base != nil && s.chain < n {
+	if s.base != nil && s.chain < deltaChain {
 		if d, err := s.eng.DeltaSnapshot(s.base); err == nil {
 			if err := s.jn.AppendDelta(d); err != nil {
 				return err

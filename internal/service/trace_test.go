@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -179,7 +180,7 @@ func TestTraceHeadersEchoed(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Finish(s.ID); err != nil {
+	if _, err := m.Finish(s.ID, TraceContext{}); err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
 }
@@ -263,24 +264,25 @@ func TestFlightEventsRecorded(t *testing.T) {
 	m := NewManager(Config{MaxSessions: 1, Flight: flight})
 	defer m.Close()
 
-	s, err := m.CreateTraced(yahooSpec("pinned"), TraceContext{Trace: "tr1", Req: "tr1.1"})
+	s, err := m.Create(yahooSpec("pinned"), TraceContext{Trace: "tr1", Req: "tr1.1"})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if _, err := m.CreateTraced(yahooSpec("over"), TraceContext{Trace: "tr1", Req: "tr1.2"}); !errors.Is(err, ErrAtCapacity) {
+	if _, err := m.Create(yahooSpec("over"), TraceContext{Trace: "tr1", Req: "tr1.2"}); !errors.Is(err, ErrAtCapacity) {
 		t.Fatalf("over-cap create: %v", err)
 	}
-	if _, err := m.RestoreTraced(SnapshotDoc{Spec: yahooSpec("r"), Snapshot: []byte("junk")}, TraceContext{}); err == nil {
+	if _, err := m.Restore(SnapshotDoc{Spec: yahooSpec("r"), Snapshot: []byte("junk")}, TraceContext{}); err == nil {
 		t.Fatal("junk restore succeeded")
 	}
 	// Backpressure against a hand-built session already at its queue-depth
 	// allowance, as TestBackpressure does.
 	fake := &session{id: "full", mgr: m, sh: m.shardOf("full")}
 	fake.queued.Store(int32(m.cfg.QueueDepth))
-	if _, err := fake.step(-1, 1.0, TraceContext{Trace: "tr1", Req: "tr1.9"}); !errors.Is(err, ErrBusy) {
+	if _, err := fake.do(request{op: opStep, seq: -1, demand: 1.0,
+		tc: TraceContext{Trace: "tr1", Req: "tr1.9"}, reply: make(chan response, 1)}); !errors.Is(err, ErrBusy) {
 		t.Fatalf("full session queue: %v", err)
 	}
-	if _, err := m.Finish(s.ID); err != nil {
+	if _, err := m.Finish(s.ID, TraceContext{}); err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
 
@@ -306,6 +308,52 @@ func TestFlightEventsRecorded(t *testing.T) {
 	}
 }
 
+// TestBackpressureCarriesTrace checks that every per-session verb tags its
+// 429 flight event with the caller's trace context. The session is built by
+// hand with its queue count pre-loaded, as TestBackpressure does, and
+// published in its shard map so the Manager verbs find it; no request ever
+// reaches the shard worker.
+func TestBackpressureCarriesTrace(t *testing.T) {
+	flight := telemetry.NewFlightRecorder(NumShards, 16)
+	m := NewManager(Config{QueueDepth: 1, IdleTTL: -1, Flight: flight})
+	defer m.Close()
+	s := &session{id: "full", mgr: m, sh: m.shardOf("full")}
+	s.queued.Store(int32(m.cfg.QueueDepth))
+	s.sh.mu.Lock()
+	s.sh.m[s.id] = s
+	s.sh.mu.Unlock()
+	defer func() {
+		s.sh.mu.Lock()
+		delete(s.sh.m, s.id)
+		s.sh.mu.Unlock()
+	}()
+
+	verbs := []struct {
+		name string
+		call func(tc TraceContext) error
+	}{
+		{"step", func(tc TraceContext) error { _, err := m.Step(s.id, -1, 1.0, tc); return err }},
+		{"snapshot", func(tc TraceContext) error { _, err := m.Snapshot(s.id, tc); return err }},
+		{"finish", func(tc TraceContext) error { _, err := m.Finish(s.id, tc); return err }},
+	}
+	for i, v := range verbs {
+		tc := TraceContext{Trace: "tr-" + v.name, Req: fmt.Sprintf("tr-%s.%d", v.name, i)}
+		if err := v.call(tc); !errors.Is(err, ErrBusy) {
+			t.Fatalf("%s into full session queue: err = %v, want ErrBusy", v.name, err)
+		}
+		var got *telemetry.FlightEvent
+		for _, ev := range flight.Events() {
+			if ev.Kind == telemetry.EventBackpressure && ev.Trace == tc.Trace {
+				got = &ev
+			}
+		}
+		if got == nil || got.Req != tc.Req || got.Session != s.id {
+			t.Errorf("%s: backpressure event lost its trace context: got %+v, want trace %q req %q",
+				v.name, got, tc.Trace, tc.Req)
+		}
+	}
+}
+
 // TestEvictionObserved checks the janitor records eviction flight events and
 // spans.
 func TestEvictionObserved(t *testing.T) {
@@ -314,7 +362,7 @@ func TestEvictionObserved(t *testing.T) {
 	m := NewManager(Config{IdleTTL: 30 * time.Millisecond, Flight: flight, Ops: ops})
 	defer m.Close()
 
-	if _, err := m.Create(yahooSpec("idle")); err != nil {
+	if _, err := m.Create(yahooSpec("idle"), TraceContext{}); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

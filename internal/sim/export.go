@@ -29,7 +29,3 @@ func (res *Result) WriteCSV(w io.Writer) error {
 		telemetry.Column{Name: "room_c", Values: tele.RoomTemp.Samples, Format: "%.2f"},
 	)
 }
-
-// WriteRunCSV writes res's canonical telemetry table; it is a thin wrapper
-// around (*Result).WriteCSV kept for existing callers.
-func WriteRunCSV(w io.Writer, res *Result) error { return res.WriteCSV(w) }

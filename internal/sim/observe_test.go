@@ -179,7 +179,7 @@ func TestWriteRunCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := WriteRunCSV(&b, res); err != nil {
+	if err := res.WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")

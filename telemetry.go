@@ -6,8 +6,6 @@ package dcsprint
 // section.
 
 import (
-	"io"
-
 	"dcsprint/internal/core"
 	"dcsprint/internal/sim"
 	"dcsprint/internal/telemetry"
@@ -50,11 +48,6 @@ func NewInstrument(reg *MetricRegistry, tr *Tracer) *Instrument {
 // RunObserved executes one scenario with a telemetry observer attached; the
 // Result is bit-for-bit identical to Run's.
 func RunObserved(sc Scenario, obs Observer) (*Result, error) { return sim.RunObserved(sc, obs) }
-
-// WriteRunCSV writes a run's canonical per-second telemetry table; one
-// schema shared by every CSV consumer. It is a thin wrapper around
-// (*Result).WriteCSV.
-func WriteRunCSV(w io.Writer, res *Result) error { return res.WriteCSV(w) }
 
 // StartTelemetryServer serves the registry (and optional tracer) over HTTP
 // for live scrapes; addr ":0" picks a free port.
